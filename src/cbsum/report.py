@@ -10,8 +10,9 @@ Every run produces a config dict, a list of result rows, and an
           while eval and table use value-oriented columns
 * text -- human-readable lines produced by the command itself
 
-Rows are plain dicts and are fully sorted before rendering, so output is
-deterministic regardless of worker count.
+Rows are plain dicts, rendered in the order the command produced them.
+Runs that fan out across workers merge results back in input order, so
+output is deterministic regardless of worker count.
 """
 from __future__ import annotations
 

@@ -59,7 +59,7 @@ def run_eval(config: RunConfig) -> tuple[list[Row], bool, list[str]]:
         "n": n,
         "strategy": strategy.name,
         "value": fields.get("value"),
-        "digest": fields.get("digest", value_digest(result.value)),
+        "digest": fields.get("digest") or value_digest(result.value),
         "digits": fields["digits"],
         "duration_ns": elapsed,
     }
@@ -253,7 +253,7 @@ def run_table(config: RunConfig) -> tuple[list[Row], bool, list[str]]:
     for n in ns:
         value = identity.EVALUATORS[strategy](SumInstance(n)).value
         fields = describe_value(value, config)
-        digest = fields.get("digest", value_digest(value))
+        digest = fields.get("digest") or value_digest(value)
         rows.append(
             {
                 "n": n,

@@ -8,7 +8,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from cbsum import identity
+from cbsum import digests, identity, report
 from cbsum.cli import main, parse_range
 from cbsum.identity import EvalResult, Strategy
 
@@ -287,3 +287,27 @@ class TestTable:
         result = runner.invoke(main, ["table", "--range", "1..2"])
         assert result.exit_code == 0
         assert "digits" in result.output.splitlines()[0]
+
+
+@pytest.mark.parametrize(
+    "argv,values",
+    [
+        (["eval", "--n", "1000", "--format", "json"], 1),
+        (["table", "--range", "900..902", "--format", "csv"], 3),
+    ],
+)
+def test_digested_value_is_converted_once(runner, monkeypatch, argv, values):
+    # above the digest threshold a value's decimal text feeds only its
+    # digest, so it must be produced once per value, not once more per row
+    converted = []
+
+    def counting(value):
+        converted.append(value)
+        return real(value)
+
+    real = digests.decimal_str
+    monkeypatch.setattr(digests, "decimal_str", counting)
+    monkeypatch.setattr(report, "decimal_str", counting)
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 0
+    assert len(converted) == len(set(converted)) == values

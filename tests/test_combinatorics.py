@@ -4,10 +4,11 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cbsum.combinatorics import (
     BINOMIAL_STRATEGIES,
+    PRIME_KERNEL_CROSSOVER,
     PascalRow,
     SumInstance,
     binomial,
@@ -46,6 +47,34 @@ class TestBinomial:
     def test_matches_math_comb_with_zero_convention(self, m, k):
         expected = math.comb(m, k) if 0 <= k <= m else 0
         assert binomial(m, k) == expected
+
+
+class TestPrimeKernel:
+    """``binomial`` at and above the prime-kernel crossover, by ``math.comb``."""
+
+    def test_central_coefficients_across_crossover(self):
+        assert 0 < PRIME_KERNEL_CROSSOVER < 3000
+        for n in range(3001):
+            assert binomial(2 * n, n) == math.comb(2 * n, n), f"C({2 * n},{n})"
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        m=st.integers(2 * PRIME_KERNEL_CROSSOVER - 20, 10 * PRIME_KERNEL_CROSSOVER),
+        offset=st.integers(-5 * PRIME_KERNEL_CROSSOVER - 3, 5 * PRIME_KERNEL_CROSSOVER + 3),
+    )
+    @example(m=2 * PRIME_KERNEL_CROSSOVER, offset=0)
+    @example(m=7000, offset=-1000)
+    @example(m=5000, offset=-2503)
+    @example(m=5000, offset=2501)
+    def test_general_coefficients_near_and_above_crossover(self, m, offset):
+        # k = m/2 + offset: near the centre the kernel runs, and offsets
+        # past either end of the row check the out-of-range convention.
+        k = m // 2 + offset
+        expected = math.comb(m, k) if 0 <= k <= m else 0
+        assert binomial(m, k) == expected
+
+    def test_central_coefficient_at_ten_to_the_fifth(self):
+        assert binomial(200_000, 100_000) == math.comb(200_000, 100_000)
 
 
 class TestPascalRow:
