@@ -1,11 +1,14 @@
 """Golden-output tests: fixed CLI calls must reproduce committed reports.
 
 Each fixture under ``tests/golden/`` is the stdout of one call, with the
-measured ``duration_ns`` fields masked. The fixtures were recorded from
-the code before the prime-exponent binomial kernel and the divide-and-
-conquer decimal conversion replaced ``math.comb`` and ``str(int)``, so a
-refactor or optimisation that changes a single output byte fails here.
-The eval sizes straddle the kernel's crossover (``PRIME_KERNEL_CROSSOVER``).
+measured ``duration_ns`` fields masked. The eval and table fixtures were
+recorded from the code before the prime-exponent binomial kernel and the
+divide-and-conquer decimal conversion replaced ``math.comb`` and
+``str(int)``; the verify, steps and bench fixtures from the code before
+verify and bench shared one measure-and-compare path. A refactor or
+optimisation that changes a single output byte fails here. The eval sizes
+straddle the kernel's crossover (``PRIME_KERNEL_CROSSOVER``); the check
+calls cover skipped naive rows, strategy and step subsets, and repetitions.
 
 To record fixtures from the code at some commit, run from the repo root
 
@@ -29,11 +32,26 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 #: kept as a literal so the calls do not move when the constant is retuned.
 CROSSOVER = 1500
 
-CALLS: tuple[tuple[str, ...], ...] = tuple(
-    ("eval", "--n", str(n), "--format", fmt)
-    for n in (0, 1, 2, 1000, CROSSOVER - 1, CROSSOVER, CROSSOVER + 1, 100_000)
-    for fmt in ("json", "csv", "text")
-) + (("table", "--range", "0..2050", "--format", "csv"),)
+#: Check-style calls, each with the formats whose stdout is deterministic
+#: once durations are masked (``bench`` text prints its timings).
+CHECK_CALLS: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...] = (
+    (("verify", "--range", "0..12", "--naive-cutoff", "5"), ("json", "csv", "text")),
+    (("verify", "--range", "2..3", "--strategy", "symmetrized", "--strategy", "closed-form"), ("json",)),
+    (("steps", "--range", "1..6"), ("json", "csv", "text")),
+    (("steps", "--range", "1..4", "--step", "L2_ABSORBED", "--step", "X_FINISH"), ("csv",)),
+    (("bench", "--n", "4", "--repetitions", "2", "--naive-cutoff", "3"), ("json", "csv")),
+    (("bench", "--range", "3..5", "--repetitions", "2", "--naive-cutoff", "4"), ("json",)),
+)
+
+CALLS: tuple[tuple[str, ...], ...] = (
+    tuple(
+        ("eval", "--n", str(n), "--format", fmt)
+        for n in (0, 1, 2, 1000, CROSSOVER - 1, CROSSOVER, CROSSOVER + 1, 100_000)
+        for fmt in ("json", "csv", "text")
+    )
+    + (("table", "--range", "0..2050", "--format", "csv"),)
+    + tuple((*argv, "--format", fmt) for argv, formats in CHECK_CALLS for fmt in formats)
+)
 
 
 def fixture_path(argv: tuple[str, ...]) -> Path:
