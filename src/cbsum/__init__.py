@@ -11,29 +11,16 @@ from .chain import (
     CHAIN_COMPARISONS,
     StepId,
     StepReport,
-    XValue,
     alternative_finish,
     absorbed_form,
     cancelled_form,
     closure_sides,
-    definition_form,
     folded_form,
-    symmetrized_form,
     telescoped_form,
     verify_chain,
     verify_chain_timed,
-    x_value,
 )
-from .combinatorics import (
-    BINOMIAL_STRATEGIES,
-    PascalRow,
-    SumInstance,
-    binomial,
-    binomial_factorial,
-    binomial_from_row,
-    binomial_multiplicative,
-    pascal_row,
-)
+from .combinatorics import binomial, pascal_row
 from .digests import decimal_digits, decimal_str, value_digest
 from .identity import (
     EVALUATORS,
@@ -52,30 +39,22 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlternativeFinish",
-    "BINOMIAL_STRATEGIES",
     "BenchRecord",
     "CHAIN_COMPARISONS",
     "DEFAULT_NAIVE_CUTOFF",
     "EVALUATORS",
     "EvalResult",
-    "PascalRow",
     "StepId",
     "StepReport",
     "Strategy",
-    "SumInstance",
-    "XValue",
     "absorbed_form",
     "absorption_sides",
     "alternative_finish",
     "binomial",
-    "binomial_factorial",
-    "binomial_from_row",
-    "binomial_multiplicative",
     "cancelled_form",
     "closure_sides",
     "decimal_digits",
     "decimal_str",
-    "definition_form",
     "evaluate",
     "evaluate_closed_form",
     "evaluate_naive",
@@ -86,10 +65,8 @@ __all__ = [
     "pascal_row",
     "pascal_triple_sides",
     "run_benchmark",
-    "symmetrized_form",
     "telescoped_form",
     "value_digest",
     "verify_chain",
     "verify_chain_timed",
-    "x_value",
 ]

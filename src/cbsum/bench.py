@@ -1,10 +1,11 @@
-"""Wall-clock benchmarking of the evaluation strategies.
+"""Wall-clock measurement of the evaluation strategies.
 
 Timings are taken per (n, strategy, repetition) on the monotonic
 ``perf_counter_ns`` clock and cover evaluation only; digesting the result
-happens outside the timed section. Every record's digest is cross-checked
-against the first one obtained for the same n, so a benchmark run doubles
-as a correctness check: a digest mismatch must fail the run loudly.
+happens outside the timed section. The ``verify`` and ``bench`` commands
+both measure through :func:`run_benchmark` and cross-check every record's
+digest against the first one measured at the same n, so a benchmark run
+doubles as a correctness check: a digest mismatch must fail the run loudly.
 
 The NAIVE strategy costs (2n+1)^2 big-integer multiplies and is skipped
 above a cutoff (default n = 3000); skips produce an explicit marker record
@@ -19,16 +20,8 @@ from typing import Iterable, Sequence
 
 from .digests import value_digest
 from .identity import EVALUATORS, Strategy
-from .combinatorics import SumInstance
 
 DEFAULT_NAIVE_CUTOFF = 3000
-
-#: Canonical strategy order used in all reports.
-STRATEGY_ORDER: tuple[Strategy, ...] = (
-    Strategy.NAIVE,
-    Strategy.SYMMETRIZED,
-    Strategy.CLOSED_FORM,
-)
 
 
 @dataclass(frozen=True)
@@ -47,6 +40,14 @@ class BenchRecord:
     skipped: bool = False
 
 
+def timed_evaluation(strategy: Strategy, n: int) -> tuple[int, int]:
+    """S(n) by ``strategy``, with the evaluation's duration in nanoseconds."""
+    evaluator = EVALUATORS[strategy]
+    start = time.perf_counter_ns()
+    value = evaluator(n)
+    return value, max(1, time.perf_counter_ns() - start)
+
+
 def run_benchmark(
     ns: Iterable[int],
     strategies: Sequence[Strategy],
@@ -59,64 +60,22 @@ def run_benchmark(
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
-    ordered = [s for s in STRATEGY_ORDER if s in strategies]
+    ordered = [s for s in Strategy if s in strategies]
     records: list[BenchRecord] = []
     for n in ns:
-        inst = SumInstance(n)
         for strategy in ordered:
             if strategy is Strategy.NAIVE and n > naive_cutoff:
-                records.append(
-                    BenchRecord(
-                        n=n,
-                        strategy=strategy,
-                        repetition=0,
-                        duration_ns=0,
-                        digest="",
-                        skipped=True,
-                    )
-                )
+                records.append(BenchRecord(n, strategy, 0, 0, "", skipped=True))
                 continue
-            evaluator = EVALUATORS[strategy]
             for rep in range(1, repetitions + 1):
-                start = time.perf_counter_ns()
-                result = evaluator(inst)
-                elapsed = max(1, time.perf_counter_ns() - start)
-                records.append(
-                    BenchRecord(
-                        n=n,
-                        strategy=strategy,
-                        repetition=rep,
-                        duration_ns=elapsed,
-                        digest=value_digest(result.value),
-                    )
-                )
+                value, elapsed = timed_evaluation(strategy, n)
+                records.append(BenchRecord(n, strategy, rep, elapsed, value_digest(value)))
     return records
 
 
-def reference_digests(records: Sequence[BenchRecord]) -> dict[int, str]:
-    """First digest measured for each n; the yardstick all others match."""
-    refs: dict[int, str] = {}
-    for record in records:
-        if not record.skipped and record.n not in refs:
-            refs[record.n] = record.digest
-    return refs
-
-
-def digests_consistent(records: Sequence[BenchRecord]) -> bool:
-    """True iff every measured digest agrees with its n's reference."""
-    refs = reference_digests(records)
-    return all(r.skipped or r.digest == refs[r.n] for r in records)
-
-
-def median_duration_ns(
-    records: Sequence[BenchRecord], strategy: Strategy, n: int | None = None
-) -> int:
-    """Median measured duration for a strategy (optionally at a single n)."""
-    durations = [
-        r.duration_ns
-        for r in records
-        if r.strategy is strategy and not r.skipped and (n is None or r.n == n)
-    ]
+def median_duration_ns(records: Sequence[BenchRecord], strategy: Strategy) -> int:
+    """Median measured duration for a strategy."""
+    durations = [r.duration_ns for r in records if r.strategy is strategy and not r.skipped]
     if not durations:
-        raise ValueError(f"no measurements for {strategy.name}" + (f" at n={n}" if n is not None else ""))
+        raise ValueError(f"no measurements for {strategy.name}")
     return int(statistics.median(durations))

@@ -4,8 +4,9 @@ The derivation proceeds through a chain of displayed lines, each a quantity
 that can be evaluated exactly on its own. With S = S(n) and the shorthand
 X = sum_{i>=0} C(2n-2, n-1+i), the chain is:
 
-    L0  S as defined (full grid, absolute value)
-    L1  4 sum_{i>=0} sum_{|j|<=i} C(2n,n+i) C(2n,n+j) (i^2 - j^2)
+    L0  S as defined (full grid, absolute value): the NAIVE evaluator
+    L1  4 sum_{i>=0} sum_{|j|<=i} C(2n,n+i) C(2n,n+j) (i^2 - j^2): the
+        SYMMETRIZED evaluator
     L2  S / (4*2n*(2n-1)) rewritten via the absorption identity as a
         signed pair of double sums over rows 2n-2 and 2n
     L3  the j-range folded to 0 <= j <= i, picking up boundary single sums
@@ -35,24 +36,19 @@ import time
 from dataclasses import dataclass
 
 from .combinatorics import pascal_row
-from .identity import Strategy, evaluate
+from .identity import evaluate_naive, evaluate_symmetrized
 
 
 class StepId(enum.Enum):
-    """Identifies one line of the derivation chain.
-
-    L0..L7 follow the chain in order; X_FINISH is the alternative ending.
-    L0_DEFINITION is the anchor every later line is compared back to, and
-    L4_EXPANDED is the bracket-expansion line that is deliberately not
-    materialized (see module docstring), so neither appears as a report of
-    its own in :func:`verify_chain`.
+    """One comparison of the derivation chain, named after the line it
+    checks against its predecessor; X_FINISH is the alternative ending.
+    L4 is not materialized (see module docstring), so L5_CANCELLED
+    compares L5 with L3.
     """
 
-    L0_DEFINITION = "L0_DEFINITION"
     L1_SYMMETRIZED = "L1_SYMMETRIZED"
     L2_ABSORBED = "L2_ABSORBED"
     L3_FOLDED = "L3_FOLDED"
-    L4_EXPANDED = "L4_EXPANDED"
     L5_CANCELLED = "L5_CANCELLED"
     L6_TELESCOPED = "L6_TELESCOPED"
     L7_CLOSED = "L7_CLOSED"
@@ -60,15 +56,7 @@ class StepId(enum.Enum):
 
 
 #: The seven consecutive comparisons verify_chain emits, in order.
-CHAIN_COMPARISONS: tuple[StepId, ...] = (
-    StepId.L1_SYMMETRIZED,
-    StepId.L2_ABSORBED,
-    StepId.L3_FOLDED,
-    StepId.L5_CANCELLED,
-    StepId.L6_TELESCOPED,
-    StepId.L7_CLOSED,
-    StepId.X_FINISH,
-)
+CHAIN_COMPARISONS: tuple[StepId, ...] = tuple(StepId)
 
 
 @dataclass(frozen=True)
@@ -92,39 +80,11 @@ class StepReport:
         return cls(n=n, step=step, lhs=lhs, rhs=rhs, equal=lhs == rhs)
 
 
-@dataclass(frozen=True)
-class XValue:
-    """X = sum_{i>=0} C(2n-2, n-1+i), the half-row sum one size down."""
-
-    n: int
-    x: int
-
-
-def x_value(n: int) -> XValue:
-    if n < 1:
-        raise ValueError(f"x_value: needs n >= 1, got n={n}")
-    row = pascal_row(2 * n - 2).coefficients
-    return XValue(n=n, x=sum(row[n - 1 :]))
-
-
 def _require_positive(n: int, where: str) -> None:
     if n < 1:
         raise ValueError(
             f"{where}: needs n >= 1 (the chain divides by 2n(2n-1)), got n={n}"
         )
-
-
-def definition_form(n: int) -> int:
-    """L0: S(n) straight from the definition (full-grid evaluation)."""
-    return evaluate(n, Strategy.NAIVE).value
-
-
-def symmetrized_form(n: int) -> int:
-    """L1: 4 sum_{i>=0} sum_{|j|<=i} C(2n,n+i) C(2n,n+j) (i^2 - j^2).
-
-    Identical to the SYMMETRIZED evaluation strategy, and delegated to it.
-    """
-    return evaluate(n, Strategy.SYMMETRIZED).value
 
 
 def absorbed_form(n: int) -> int:
@@ -137,8 +97,8 @@ def absorbed_form(n: int) -> int:
     comparing against L1).
     """
     _require_positive(n, "absorbed_form")
-    big = pascal_row(2 * n).coefficients
-    small = pascal_row(2 * n - 2).coefficients
+    big = pascal_row(2 * n)
+    small = pascal_row(2 * n - 2)
     top = 2 * n - 2
     first = 0
     for i in range(n):  # C(2n-2, n-1+i) vanishes for i > n-1
@@ -162,8 +122,8 @@ def folded_form(n: int) -> int:
     where the single sums are the j = 0 boundary terms the fold exposes.
     """
     _require_positive(n, "folded_form")
-    big = pascal_row(2 * n).coefficients
-    small = pascal_row(2 * n - 2).coefficients
+    big = pascal_row(2 * n)
+    small = pascal_row(2 * n - 2)
     top = 2 * n - 2
     first = 0
     for i in range(n):
@@ -189,8 +149,8 @@ def cancelled_form(n: int) -> int:
         + C(2n,n)     sum_{i>=0} C(2n-2,n-1+i)
     """
     _require_positive(n, "cancelled_form")
-    big = pascal_row(2 * n).coefficients
-    small = pascal_row(2 * n - 2).coefficients
+    big = pascal_row(2 * n)
+    small = pascal_row(2 * n - 2)
     top = 2 * n - 2
 
     def triangle(shift_i: int, shift_j: int) -> int:
@@ -226,8 +186,8 @@ def telescoped_form(n: int) -> int:
         + C(2n,n)       sum_{i>=0} C(2n-2,n-1+i)
     """
     _require_positive(n, "telescoped_form")
-    big = pascal_row(2 * n).coefficients
-    small = pascal_row(2 * n - 2).coefficients
+    big = pascal_row(2 * n)
+    small = pascal_row(2 * n - 2)
     center = small[n - 1]
     below = small[n - 2] if n >= 2 else 0
     low_sum = sum(small[max(0, n - 2) :])
@@ -238,7 +198,7 @@ def telescoped_form(n: int) -> int:
 def closure_sides(n: int) -> tuple[int, int]:
     """L7 in cleared-denominator form: 4(2n-1) L6  vs  n C(2n,n)^2."""
     _require_positive(n, "closure_sides")
-    center = pascal_row(2 * n).coefficients[n]
+    center = pascal_row(2 * n)[n]
     return 4 * (2 * n - 1) * telescoped_form(n), n * center * center
 
 
@@ -283,9 +243,9 @@ class AlternativeFinish:
 def alternative_finish(n: int) -> AlternativeFinish:
     """Evaluate the X-based finish and everything it depends on."""
     _require_positive(n, "alternative_finish")
-    big = pascal_row(2 * n).coefficients
-    small = pascal_row(2 * n - 2).coefficients
-    row_above = pascal_row(2 * n - 1).coefficients
+    big = pascal_row(2 * n)
+    small = pascal_row(2 * n - 2)
+    row_above = pascal_row(2 * n - 1)
     center = small[n - 1]
     below = small[n - 2] if n >= 2 else 0
     x = sum(small[n - 1 :])
@@ -322,8 +282,8 @@ def verify_chain_timed(n: int) -> list[tuple[StepReport, int]]:
         out.append((report, max(1, clock() - started)))
 
     t = clock()
-    l0 = definition_form(n)
-    l1 = symmetrized_form(n)
+    l0 = evaluate_naive(n)
+    l1 = evaluate_symmetrized(n)
     emit(StepReport.compare(n, StepId.L1_SYMMETRIZED, l0, l1), t)
 
     t = clock()

@@ -1,11 +1,14 @@
 """Command-line front end.
 
 Exit codes follow the CI-friendly contract: 0 = all checks pass,
-1 = mathematical mismatch found, 2 = usage or configuration error.
+1 = mathematical mismatch found, 2 = usage or configuration error,
+3 = internal error (an uncaught exception, traceback on stderr).
 """
 from __future__ import annotations
 
 import sys
+import traceback
+from typing import Any
 
 import click
 
@@ -51,21 +54,15 @@ def parse_range(spec: str) -> tuple[int, int]:
 
 
 def _pick_strategies(names: tuple[str, ...]) -> tuple[Strategy, ...]:
-    if not names:
-        return tuple(Strategy)
-    return tuple(dict.fromkeys(STRATEGY_NAMES[n] for n in names))
+    """The named strategies (all when none are named), in canonical order."""
+    return tuple(s for s in Strategy if not names or s.value in names)
 
 
-def _finish(config: RunConfig, runner) -> None:
+def _finish(config: RunConfig, runner, columns: tuple[str, ...] = CSV_COLUMNS) -> None:
     try:
         config.validate()
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    columns = CSV_COLUMNS
-    if config.command == "eval":
-        columns = EVAL_CSV_COLUMNS
-    elif config.command == "table":
-        columns = TABLE_CSV_COLUMNS
     rows, all_passed, text = runner(config)
     click.echo(render_report(config, rows, all_passed, text, csv_columns=columns), nl=False)
     sys.exit(0 if all_passed else 1)
@@ -94,32 +91,43 @@ cutoff_option = click.option(
     show_default=True,
     help="Skip the naive strategy above this n.",
 )
-decimal_options = [
-    click.option(
-        "--full-decimal",
-        is_flag=True,
-        help="Always print full decimal values, regardless of size.",
-    ),
-    click.option(
-        "--digest-threshold",
-        type=int,
-        default=DEFAULT_DIGEST_THRESHOLD,
-        show_default=True,
-        help="Digits above which values are reported as digest + digit count.",
-    ),
-]
+full_decimal_option = click.option(
+    "--full-decimal",
+    is_flag=True,
+    help="Always print full decimal values, regardless of size.",
+)
+digest_threshold_option = click.option(
+    "--digest-threshold",
+    type=int,
+    default=DEFAULT_DIGEST_THRESHOLD,
+    show_default=True,
+    help="Digits above which values are reported as digest + digit count.",
+)
+strategy_option = click.option(
+    "--strategy",
+    type=click.Choice(sorted(STRATEGY_NAMES)),
+    default=Strategy.CLOSED_FORM.value,
+    show_default=True,
+)
 
 
-def add_options(options):
-    def wrap(fn):
-        for option in reversed(options):
-            fn = option(fn)
-        return fn
+class _Main(click.Group):
+    """Exits 3 with the traceback on an uncaught exception, where click
+    would exit 1, the code of a mathematical mismatch. With
+    ``standalone_mode=False`` the exception propagates, as click's own do.
+    """
 
-    return wrap
+    def main(self, *args: Any, standalone_mode: bool = True, **kwargs: Any) -> Any:
+        try:
+            return super().main(*args, standalone_mode=standalone_mode, **kwargs)
+        except Exception:
+            if not standalone_mode:
+                raise
+            traceback.print_exc()
+            sys.exit(3)
 
 
-@click.group()
+@click.group(cls=_Main)
 @click.version_option(package_name="cbsum")
 def main() -> None:
     """Exact evaluation and verification of a central-binomial double sum.
@@ -131,14 +139,10 @@ def main() -> None:
 
 @main.command("eval")
 @click.option("--n", "n", type=int, required=True, help="Problem size n >= 0.")
-@click.option(
-    "--strategy",
-    type=click.Choice(sorted(STRATEGY_NAMES)),
-    default=Strategy.CLOSED_FORM.value,
-    show_default=True,
-)
+@strategy_option
 @format_option
-@add_options(decimal_options)
+@full_decimal_option
+@digest_threshold_option
 def eval_cmd(n, strategy, output_format, full_decimal, digest_threshold) -> None:
     """Print S(n) computed with one strategy."""
     if n < 0:
@@ -152,7 +156,7 @@ def eval_cmd(n, strategy, output_format, full_decimal, digest_threshold) -> None
         full_decimal=full_decimal,
         digest_threshold=digest_threshold,
     )
-    _finish(config, run_eval)
+    _finish(config, run_eval, EVAL_CSV_COLUMNS)
 
 
 @main.command("verify")
@@ -250,14 +254,10 @@ def bench_cmd(n, range_spec, strategies, repetitions, output_format, naive_cutof
 
 @main.command("table")
 @click.option("--range", "range_spec", required=True, help="Range of n, e.g. 0..20.")
-@click.option(
-    "--strategy",
-    type=click.Choice(sorted(STRATEGY_NAMES)),
-    default=Strategy.CLOSED_FORM.value,
-    show_default=True,
-)
+@strategy_option
 @format_option
-@add_options(decimal_options)
+@full_decimal_option
+@digest_threshold_option
 def table_cmd(range_spec, strategy, output_format, full_decimal, digest_threshold) -> None:
     """Tabulate n, S(n) and its decimal digit count over a range."""
     n_min, n_max = parse_range(range_spec)
@@ -270,7 +270,7 @@ def table_cmd(range_spec, strategy, output_format, full_decimal, digest_threshol
         full_decimal=full_decimal,
         digest_threshold=digest_threshold,
     )
-    _finish(config, run_table)
+    _finish(config, run_table, TABLE_CSV_COLUMNS)
 
 
 if __name__ == "__main__":

@@ -8,24 +8,16 @@ total in the lower index via the usual convention
 
 which keeps every summation loop downstream free of boundary special cases.
 
-The default :func:`binomial` calls ``math.comb`` for small coefficients and
-multiplies out the coefficient's prime factorisation for large ones, where
-``math.comb`` is quadratic. Three independently coded strategies compute
-the same values; they exist so the rest of the package can cross-check
-them against each other and benchmark their cost profiles:
-
-* ``row``            -- materialize the whole Pascal row, then index it
-* ``multiplicative`` -- running product C(m,k) = prod (m-k+t)/t with the
-                        exactness of every division asserted
-* ``factorial``      -- quotient of cached factorials
+:func:`binomial` calls ``math.comb`` for small coefficients and multiplies
+out the coefficient's prime factorisation for large ones, where
+``math.comb`` is quadratic. :func:`pascal_row` builds a whole row at once
+for the sums that walk one.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Dict, Iterable, Iterator
+from typing import Iterable, Iterator
 
 #: Where :func:`binomial` switches from ``math.comb`` to the prime kernel.
 #: ``math.comb`` costs about k**2 and the kernel about m (its sieve), so,
@@ -106,41 +98,8 @@ def _product(factors: Iterable[int]) -> int:
     return result
 
 
-@dataclass(frozen=True)
-class PascalRow:
-    """One full row of Pascal's triangle: coefficients C(m, 0..m).
-
-    Rows are symmetric (entry k equals entry m-k), sum to 2**m, and obey
-    Pascal's rule against the previous row; the test suite enforces all
-    three. ``entry`` extends indexing with the out-of-range-is-zero
-    convention.
-    """
-
-    m: int
-    coefficients: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.coefficients) != self.m + 1:
-            raise ValueError(
-                f"row {self.m} needs {self.m + 1} coefficients, "
-                f"got {len(self.coefficients)}"
-            )
-
-    def __len__(self) -> int:
-        return self.m + 1
-
-    def __getitem__(self, k: int) -> int:
-        return self.coefficients[k]
-
-    def entry(self, k: int) -> int:
-        """C(m, k) with C(m, k) = 0 outside 0 <= k <= m."""
-        if k < 0 or k > self.m:
-            return 0
-        return self.coefficients[k]
-
-
-def pascal_row(m: int) -> PascalRow:
-    """Compute row ``m`` of Pascal's triangle.
+def pascal_row(m: int) -> tuple[int, ...]:
+    """Row ``m`` of Pascal's triangle: the coefficients C(m, 0..m).
 
     Runs along the row with C(m,k) = C(m,k-1) * (m-k+1) / k and mirrors the
     second half, so the cost is m/2 big-integer multiply/divide steps rather
@@ -154,74 +113,4 @@ def pascal_row(m: int) -> PascalRow:
         value = value * (m - k + 1) // k
         coeffs[k] = value
         coeffs[m - k] = value
-    return PascalRow(m=m, coefficients=tuple(coeffs))
-
-
-def binomial_from_row(m: int, k: int) -> int:
-    """Strategy ``row``: build the whole row of m, then pick entry k."""
-    if m < 0:
-        raise ValueError(f"binomial: upper index must be >= 0, got m={m}")
-    return pascal_row(m).entry(k)
-
-
-def binomial_multiplicative(m: int, k: int) -> int:
-    """Strategy ``multiplicative``: running product with exact division.
-
-    Every intermediate division must be exact (the running product after t
-    steps is C(m-k+t, t) * t!, hence divisible by t); a nonzero remainder
-    would mean a bug, so it is asserted rather than tolerated.
-    """
-    if m < 0:
-        raise ValueError(f"binomial: upper index must be >= 0, got m={m}")
-    if k < 0 or k > m:
-        return 0
-    k = min(k, m - k)
-    result = 1
-    for t in range(1, k + 1):
-        result, remainder = divmod(result * (m - k + t), t)
-        assert remainder == 0, f"inexact division at t={t} for C({m},{k})"
-    return result
-
-
-@lru_cache(maxsize=4096)
-def _factorial(n: int) -> int:
-    return math.factorial(n)
-
-
-def binomial_factorial(m: int, k: int) -> int:
-    """Strategy ``factorial``: m! / (k! (m-k)!) over cached factorials."""
-    if m < 0:
-        raise ValueError(f"binomial: upper index must be >= 0, got m={m}")
-    if k < 0 or k > m:
-        return 0
-    return _factorial(m) // (_factorial(k) * _factorial(m - k))
-
-
-BINOMIAL_STRATEGIES: Dict[str, Callable[[int, int], int]] = {
-    "row": binomial_from_row,
-    "multiplicative": binomial_multiplicative,
-    "factorial": binomial_factorial,
-}
-
-
-@dataclass(frozen=True)
-class SumInstance:
-    """A single problem size for the double sum, parameterized by ``n``.
-
-    The summand only ever references rows 2n and 2n-2 of Pascal's triangle,
-    so the two derived indices are exposed as properties.
-    """
-
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"instance size must be >= 0, got n={self.n}")
-
-    @property
-    def two_n(self) -> int:
-        return 2 * self.n
-
-    @property
-    def two_n_minus_one(self) -> int:
-        return 2 * self.n - 1
+    return tuple(coeffs)

@@ -81,6 +81,11 @@ def decimal_digits(value: int) -> int:
     return estimate + 1
 
 
+def text_digest(text: str) -> str:
+    """SHA-256 hex digest of a decimal representation already built."""
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
 def value_digest(value: int) -> str:
     """SHA-256 hex digest of the decimal representation of ``value``."""
-    return hashlib.sha256(decimal_str(value).encode("ascii")).hexdigest()
+    return text_digest(decimal_str(value))

@@ -6,8 +6,9 @@ The quantity of interest, for a size ``n``, is
 
 and the claim being verified throughout this package is the closed form
 S(n) = 2 n^2 C(2n,n)^2. Three evaluators compute S(n) by structurally
-different routes; they must agree bit-exactly, and the tests treat any
-disagreement as a finding, not an error.
+different routes; each takes ``n`` and returns S(n). They must agree
+bit-exactly, and the tests treat any disagreement as a finding, not an
+error.
 
 This module also carries the small exact identities the step-by-step
 derivation in :mod:`cbsum.chain` leans on: the half-row sum, the absorption
@@ -20,7 +21,7 @@ import enum
 from dataclasses import dataclass
 from typing import Callable, Dict
 
-from .combinatorics import SumInstance, binomial, pascal_row
+from .combinatorics import binomial, pascal_row
 
 
 class Strategy(enum.Enum):
@@ -44,8 +45,9 @@ class EvalResult:
     value: int
 
 
-def _naive_value(n: int) -> int:
-    coeffs = pascal_row(2 * n).coefficients
+def evaluate_naive(n: int) -> int:
+    """Full-grid evaluation of S(n), |i^2 - j^2| taken termwise."""
+    coeffs = pascal_row(2 * n)
     squares = [(k - n) ** 2 for k in range(2 * n + 1)]
     total = 0
     for a, si in zip(coeffs, squares):
@@ -57,8 +59,9 @@ def _naive_value(n: int) -> int:
     return total
 
 
-def _symmetrized_value(n: int) -> int:
-    coeffs = pascal_row(2 * n).coefficients
+def evaluate_symmetrized(n: int) -> int:
+    """Quarter-domain evaluation: 4 * sum_{0<=i<=n} sum_{|j|<=i} ... (i^2-j^2)."""
+    coeffs = pascal_row(2 * n)
     total = 0
     for i in range(n + 1):
         si = i * i
@@ -69,26 +72,12 @@ def _symmetrized_value(n: int) -> int:
     return 4 * total
 
 
-def evaluate_naive(inst: SumInstance) -> EvalResult:
-    """Full-grid evaluation of S(n), |i^2 - j^2| taken termwise."""
-    return EvalResult(n=inst.n, strategy=Strategy.NAIVE, value=_naive_value(inst.n))
-
-
-def evaluate_symmetrized(inst: SumInstance) -> EvalResult:
-    """Quarter-domain evaluation: 4 * sum_{0<=i<=n} sum_{|j|<=i} ... (i^2-j^2)."""
-    return EvalResult(
-        n=inst.n, strategy=Strategy.SYMMETRIZED, value=_symmetrized_value(inst.n)
-    )
-
-
-def evaluate_closed_form(inst: SumInstance) -> EvalResult:
+def evaluate_closed_form(n: int) -> int:
     """Closed form 2 n^2 C(2n,n)^2."""
-    n = inst.n
-    value = 2 * n * n * binomial(2 * n, n) ** 2
-    return EvalResult(n=n, strategy=Strategy.CLOSED_FORM, value=value)
+    return 2 * n * n * binomial(2 * n, n) ** 2
 
 
-EVALUATORS: Dict[Strategy, Callable[[SumInstance], EvalResult]] = {
+EVALUATORS: Dict[Strategy, Callable[[int], int]] = {
     Strategy.NAIVE: evaluate_naive,
     Strategy.SYMMETRIZED: evaluate_symmetrized,
     Strategy.CLOSED_FORM: evaluate_closed_form,
@@ -97,7 +86,9 @@ EVALUATORS: Dict[Strategy, Callable[[SumInstance], EvalResult]] = {
 
 def evaluate(n: int, strategy: Strategy) -> EvalResult:
     """Evaluate S(n) with the given strategy (dispatches via ``EVALUATORS``)."""
-    return EVALUATORS[strategy](SumInstance(n))
+    if n < 0:
+        raise ValueError(f"S(n) needs n >= 0, got n={n}")
+    return EvalResult(n=n, strategy=strategy, value=EVALUATORS[strategy](n))
 
 
 def half_row_sum(n: int) -> int:
@@ -109,7 +100,7 @@ def half_row_sum(n: int) -> int:
     """
     if n < 0:
         raise ValueError(f"half_row_sum: size must be >= 0, got n={n}")
-    return sum(pascal_row(2 * n).coefficients[n:])
+    return sum(pascal_row(2 * n)[n:])
 
 
 def absorption_sides(n: int, i: int) -> tuple[int, int]:

@@ -25,7 +25,7 @@ from typing import Any, Mapping, Sequence
 
 from .bench import DEFAULT_NAIVE_CUTOFF
 from .chain import CHAIN_COMPARISONS, StepId
-from .digests import decimal_digits, decimal_str, value_digest
+from .digests import decimal_digits, decimal_str, text_digest, value_digest
 from .identity import Strategy
 
 #: Canonical CSV columns for comparison-style reports.
@@ -77,6 +77,21 @@ class RunConfig:
             raise ValueError(f"parallelism must be >= 1, got {self.parallelism}")
         if self.repetitions < 1:
             raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
+        if self.naive_cutoff < 0:
+            raise ValueError(f"naive cutoff must be >= 0, got {self.naive_cutoff}")
+        if self.digest_threshold < 0:
+            raise ValueError(f"digest threshold must be >= 0, got {self.digest_threshold}")
+        if self.command == "verify":
+            # naive is skipped above the cutoff, so n_max measures the fewest
+            measured = len(self.strategies_enabled) - (
+                Strategy.NAIVE in self.strategies_enabled and self.n_max > self.naive_cutoff
+            )
+            if measured < 2:
+                raise ValueError(
+                    f"verify compares strategies, but at n={self.n_max} only "
+                    f"{measured} would be measured; enable at least two "
+                    "(naive counts only up to --naive-cutoff)"
+                )
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -137,8 +152,13 @@ def render_report(
 
 
 def describe_value(value: int, config: RunConfig) -> dict[str, Any]:
-    """Value fields for machine output, honoring the digest threshold."""
+    """Value fields for machine output, honoring the digest threshold.
+
+    Always carries the digest; a value shown in full is converted to
+    decimal once, for both its text and its digest.
+    """
     digits = decimal_digits(value)
     if config.full_decimal or digits <= config.digest_threshold:
-        return {"value": decimal_str(value), "digits": digits}
+        text = decimal_str(value)
+        return {"value": text, "digest": text_digest(text), "digits": digits}
     return {"value": None, "digest": value_digest(value), "digits": digits}

@@ -8,24 +8,15 @@ deterministic for a fixed config.
 """
 from __future__ import annotations
 
-import time
+import os
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from typing import Any, Callable, Sequence
 
 from . import identity
-from .bench import (
-    BenchRecord,
-    STRATEGY_ORDER,
-    digests_consistent,
-    median_duration_ns,
-    reference_digests,
-    run_benchmark,
-)
+from .bench import BenchRecord, median_duration_ns, run_benchmark, timed_evaluation
 from .chain import verify_chain_timed
-from .combinatorics import SumInstance
 from .digests import value_digest
-from .identity import Strategy
 from .report import RunConfig, describe_value
 
 Row = dict[str, Any]
@@ -34,16 +25,46 @@ EVAL_CSV_COLUMNS = ("n", "strategy", "value", "digest", "digits", "duration_ns")
 TABLE_CSV_COLUMNS = ("n", "value", "digest", "digits")
 
 
-def _map_over(fn: Callable[[int], Any], ns: Sequence[int], jobs: int) -> list[Any]:
-    if jobs <= 1 or len(ns) <= 1:
-        return [fn(n) for n in ns]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        chunk = max(1, len(ns) // (jobs * 4))
-        return list(pool.map(fn, ns, chunksize=chunk))
+def _map_over(fn: Callable[[Any], Any], items: Sequence[Any], jobs: int) -> list[Any]:
+    workers = min(jobs, len(items), os.cpu_count() or 1)
+    if workers <= 1:
+        return [fn(item) for item in items]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        chunk = max(1, len(items) // (workers * 4))
+        return list(pool.map(fn, items, chunksize=chunk))
 
 
 def _short(digest: str) -> str:
     return digest[:12] if digest else "-"
+
+
+def _check_rows(
+    records: Sequence[BenchRecord],
+    extra: Callable[[BenchRecord, BenchRecord | None], Row],
+) -> list[Row]:
+    """One row per record, comparing its digest with the reference: the
+    first record measured at its n. The command's own keys come from
+    ``extra(record, reference)``."""
+    refs: dict[int, BenchRecord] = {}
+    for record in records:
+        if not record.skipped:
+            refs.setdefault(record.n, record)
+    rows: list[Row] = []
+    for record in records:
+        ref = refs.get(record.n)
+        measured = not record.skipped
+        rows.append(
+            {
+                "n": record.n,
+                "step_or_strategy": record.strategy.name,
+                "lhs_digest": record.digest,
+                "rhs_digest": ref.digest if measured else "",
+                "equal": record.digest == ref.digest if measured else "skipped",
+                "duration_ns": record.duration_ns if measured else None,
+                **extra(record, ref),
+            }
+        )
+    return rows
 
 
 # --- eval -------------------------------------------------------------------
@@ -51,19 +72,17 @@ def _short(digest: str) -> str:
 def run_eval(config: RunConfig) -> tuple[list[Row], bool, list[str]]:
     n = config.n_min
     strategy = config.strategies_enabled[0]
-    start = time.perf_counter_ns()
-    result = identity.EVALUATORS[strategy](SumInstance(n))
-    elapsed = max(1, time.perf_counter_ns() - start)
-    fields = describe_value(result.value, config)
+    value, elapsed = timed_evaluation(strategy, n)
+    fields = describe_value(value, config)
     row: Row = {
         "n": n,
         "strategy": strategy.name,
-        "value": fields.get("value"),
-        "digest": fields.get("digest") or value_digest(result.value),
+        "value": fields["value"],
+        "digest": fields["digest"],
         "digits": fields["digits"],
         "duration_ns": elapsed,
     }
-    if fields.get("value") is not None:
+    if fields["value"] is not None:
         text = [fields["value"]]
     else:
         text = [f"sha256:{fields['digest']} digits={fields['digits']}"]
@@ -72,54 +91,24 @@ def run_eval(config: RunConfig) -> tuple[list[Row], bool, list[str]]:
 
 # --- verify -----------------------------------------------------------------
 
-def _verify_one(n: int, strategies: tuple[Strategy, ...], naive_cutoff: int) -> list[Row]:
-    rows: list[Row] = []
-    reference: str | None = None
-    reference_name: str | None = None
-    inst = SumInstance(n)
-    for strategy in strategies:
-        if strategy is Strategy.NAIVE and n > naive_cutoff:
-            rows.append(
-                {
-                    "n": n,
-                    "step_or_strategy": strategy.name,
-                    "lhs_digest": "",
-                    "rhs_digest": "",
-                    "equal": "skipped",
-                    "duration_ns": None,
-                    "skipped": True,
-                }
-            )
-            continue
-        start = time.perf_counter_ns()
-        result = identity.EVALUATORS[strategy](inst)
-        elapsed = max(1, time.perf_counter_ns() - start)
-        digest = value_digest(result.value)
-        if reference is None:
-            reference, reference_name = digest, strategy.name
-        rows.append(
-            {
-                "n": n,
-                "step_or_strategy": strategy.name,
-                "lhs_digest": digest,
-                "rhs_digest": reference,
-                "equal": digest == reference,
-                "duration_ns": elapsed,
-                "reference": reference_name,
-            }
-        )
-    return rows
+def _verify_keys(record: BenchRecord, ref: BenchRecord | None) -> Row:
+    return {"skipped": True} if record.skipped else {"reference": ref.strategy.name}
 
 
 def run_verify(config: RunConfig) -> tuple[list[Row], bool, list[str]]:
     ns = list(range(config.n_min, config.n_max + 1))
-    strategies = tuple(s for s in STRATEGY_ORDER if s in config.strategies_enabled)
-    worker = partial(
-        _verify_one, strategies=strategies, naive_cutoff=config.naive_cutoff
+    measure = partial(
+        run_benchmark,
+        strategies=config.strategies_enabled,
+        repetitions=1,
+        naive_cutoff=config.naive_cutoff,
     )
-    per_n = _map_over(worker, ns, config.parallelism)
+    per_n = [
+        _check_rows(records, _verify_keys)
+        for records in _map_over(measure, [[n] for n in ns], config.parallelism)
+    ]
     rows = [row for group in per_n for row in group]
-    all_passed = all(row["equal"] is True for row in rows if row["equal"] != "skipped")
+    all_passed = all(row["equal"] is not False for row in rows)
     text = []
     for n, group in zip(ns, per_n):
         measured = [r for r in group if r["equal"] != "skipped"]
@@ -144,13 +133,9 @@ def run_verify(config: RunConfig) -> tuple[list[Row], bool, list[str]]:
 
 # --- steps ------------------------------------------------------------------
 
-def _steps_one(n: int) -> list[tuple[Any, int]]:
-    return verify_chain_timed(n)
-
-
 def run_steps(config: RunConfig) -> tuple[list[Row], bool, list[str]]:
     ns = list(range(config.n_min, config.n_max + 1))
-    per_n = _map_over(_steps_one, ns, config.parallelism)
+    per_n = _map_over(verify_chain_timed, ns, config.parallelism)
     enabled = set(config.steps_enabled)
     rows: list[Row] = []
     text: list[str] = []
@@ -180,48 +165,16 @@ def run_steps(config: RunConfig) -> tuple[list[Row], bool, list[str]]:
 
 # --- bench ------------------------------------------------------------------
 
-def _bench_rows(records: Sequence[BenchRecord]) -> list[Row]:
-    refs = reference_digests(records)
-    rows: list[Row] = []
-    for record in records:
-        if record.skipped:
-            rows.append(
-                {
-                    "n": record.n,
-                    "step_or_strategy": record.strategy.name,
-                    "lhs_digest": "",
-                    "rhs_digest": "",
-                    "equal": "skipped",
-                    "duration_ns": None,
-                    "repetition": None,
-                    "skipped": True,
-                }
-            )
-            continue
-        reference = refs[record.n]
-        rows.append(
-            {
-                "n": record.n,
-                "step_or_strategy": record.strategy.name,
-                "lhs_digest": record.digest,
-                "rhs_digest": reference,
-                "equal": record.digest == reference,
-                "duration_ns": record.duration_ns,
-                "repetition": record.repetition,
-                "skipped": False,
-            }
-        )
-    return rows
+def _bench_keys(record: BenchRecord, ref: BenchRecord | None) -> Row:
+    return {"repetition": None if record.skipped else record.repetition, "skipped": record.skipped}
 
 
 def run_bench(config: RunConfig) -> tuple[list[Row], bool, list[str]]:
-    ns = list(range(config.n_min, config.n_max + 1))
-    strategies = tuple(s for s in STRATEGY_ORDER if s in config.strategies_enabled)
-    records = run_benchmark(
-        ns, strategies, config.repetitions, naive_cutoff=config.naive_cutoff
-    )
-    rows = _bench_rows(records)
-    all_passed = digests_consistent(records)
+    ns = range(config.n_min, config.n_max + 1)
+    strategies = config.strategies_enabled
+    records = run_benchmark(ns, strategies, config.repetitions, config.naive_cutoff)
+    rows = _check_rows(records, _bench_keys)
+    all_passed = all(row["equal"] is not False for row in rows)
     text = []
     for record in records:
         if record.skipped:
@@ -246,22 +199,19 @@ def run_bench(config: RunConfig) -> tuple[list[Row], bool, list[str]]:
 # --- table ------------------------------------------------------------------
 
 def run_table(config: RunConfig) -> tuple[list[Row], bool, list[str]]:
-    ns = list(range(config.n_min, config.n_max + 1))
     strategy = config.strategies_enabled[0]
     rows: list[Row] = []
     text = [f"{'n':>8}  {'digits':>8}  value"]
-    for n in ns:
-        value = identity.EVALUATORS[strategy](SumInstance(n)).value
-        fields = describe_value(value, config)
-        digest = fields.get("digest") or value_digest(value)
+    for n in range(config.n_min, config.n_max + 1):
+        fields = describe_value(identity.EVALUATORS[strategy](n), config)
         rows.append(
             {
                 "n": n,
-                "value": fields.get("value"),
-                "digest": digest,
+                "value": fields["value"],
+                "digest": fields["digest"],
                 "digits": fields["digits"],
             }
         )
-        shown = fields["value"] if fields.get("value") is not None else f"sha256:{_short(digest)}..."
+        shown = fields["value"] if fields["value"] is not None else f"sha256:{_short(fields['digest'])}..."
         text.append(f"{n:>8}  {fields['digits']:>8}  {shown}")
     return rows, True, text

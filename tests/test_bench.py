@@ -3,12 +3,7 @@ from __future__ import annotations
 
 import pytest
 
-from cbsum.bench import (
-    BenchRecord,
-    digests_consistent,
-    median_duration_ns,
-    run_benchmark,
-)
+from cbsum.bench import BenchRecord, median_duration_ns, run_benchmark
 from cbsum.identity import Strategy
 
 ALL = tuple(Strategy)
@@ -23,7 +18,6 @@ class TestRunBenchmark:
     def test_digests_agree_across_strategies(self):
         records = run_benchmark([10], ALL, repetitions=3)
         assert len({r.digest for r in records}) == 1
-        assert digests_consistent(records)
 
     def test_durations_positive_and_ordering(self):
         records = run_benchmark([10], ALL, repetitions=2)
@@ -38,7 +32,7 @@ class TestRunBenchmark:
         assert [r.strategy for r in skipped] == [Strategy.NAIVE]
         assert skipped[0].digest == "" and skipped[0].duration_ns == 0
         assert len(measured) == 4  # two strategies x two repetitions
-        assert digests_consistent(records)
+        assert len({r.digest for r in measured}) == 1
 
     def test_symmetrized_and_closed_form_agree_at_2000(self):
         records = run_benchmark(

@@ -13,15 +13,12 @@ from cbsum.chain import (
     alternative_finish,
     cancelled_form,
     closure_sides,
-    definition_form,
     folded_form,
-    symmetrized_form,
     telescoped_form,
     verify_chain,
     verify_chain_timed,
-    x_value,
 )
-from cbsum.identity import half_row_sum
+from cbsum.identity import evaluate_naive, evaluate_symmetrized, half_row_sum
 
 from oracle import brute_force_sum
 
@@ -30,9 +27,10 @@ ALL_FORMS = (absorbed_form, folded_form, cancelled_form, telescoped_form)
 
 class TestLineQuantities:
     def test_symmetrized_form_equals_definition(self):
+        # L0 and L1 are the naive and symmetrized evaluators
         for n in (1, 2, 3, 8):
-            assert symmetrized_form(n) == brute_force_sum(n)
-            assert definition_form(n) == brute_force_sum(n)
+            assert evaluate_symmetrized(n) == brute_force_sum(n)
+            assert evaluate_naive(n) == brute_force_sum(n)
 
     def test_absorbed_form_small_values(self):
         # frozen: S(1)/(4*2*1) = 1, S(2)/(4*4*3) = 6, S(3)/(4*6*5) = 60
@@ -113,13 +111,11 @@ class TestAlternativeFinish:
 
 
 class TestXValue:
+    """X = sum_{i>=0} C(2n-2, n-1+i), as the alternative finish computes it."""
+
     def test_matches_half_row_sum_one_size_down(self):
         for n in range(1, 501):
-            assert x_value(n).x == half_row_sum(n - 1)
-
-    def test_degenerate_size_rejected(self):
-        with pytest.raises(ValueError):
-            x_value(0)
+            assert alternative_finish(n).x == half_row_sum(n - 1)
 
 
 class TestStepReport:

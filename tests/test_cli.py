@@ -8,9 +8,11 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from cbsum import digests, identity, report
+from cbsum import digests, identity, report, runs
 from cbsum.cli import main, parse_range
-from cbsum.identity import EvalResult, Strategy
+from cbsum.identity import Strategy
+
+from test_golden import mask_durations
 
 
 @pytest.fixture
@@ -93,9 +95,8 @@ class TestVerify:
         assert result.exit_code == 0
 
     def test_corrupted_evaluator_detected(self, runner, monkeypatch):
-        def corrupt(inst):
-            value = 2 * inst.n**2  # drops the squared central coefficient
-            return EvalResult(n=inst.n, strategy=Strategy.CLOSED_FORM, value=value)
+        def corrupt(n):
+            return 2 * n**2  # drops the squared central coefficient
 
         monkeypatch.setitem(identity.EVALUATORS, Strategy.CLOSED_FORM, corrupt)
         result = runner.invoke(main, ["verify", "--range", "0..3"])
@@ -104,8 +105,8 @@ class TestVerify:
         assert "n=1" in result.output  # pinpoints the first failing size
 
     def test_mismatch_report_carries_both_digests(self, runner, monkeypatch):
-        def corrupt(inst):
-            return EvalResult(n=inst.n, strategy=Strategy.NAIVE, value=41)
+        def corrupt(n):
+            return 41
 
         monkeypatch.setitem(identity.EVALUATORS, Strategy.NAIVE, corrupt)
         result = runner.invoke(
@@ -155,6 +156,27 @@ class TestVerify:
         strip = lambda out: [row[:4] for row in csv.reader(io.StringIO(out))]
         # everything except the timing column must be identical
         assert strip(serial.output) == strip(parallel.output)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--range", "0..3", "--strategy", "closed-form"],
+            # naive is skipped at n = 3500, above the default cutoff
+            ["verify", "--range", "3500..3500", "--strategy", "naive", "--strategy", "closed-form"],
+        ],
+    )
+    def test_fewer_than_two_measured_strategies_is_usage_error(self, runner, argv):
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 2
+        assert "at least two" in result.output
+
+    def test_strategy_order_is_canonical(self, runner):
+        argv = ["verify", "--range", "0..2", "--format", "json"]
+        forward = runner.invoke(main, argv + ["--strategy", "naive", "--strategy", "closed-form"])
+        backward = runner.invoke(main, argv + ["--strategy", "closed-form", "--strategy", "naive"])
+        assert forward.exit_code == backward.exit_code == 0
+        assert mask_durations(forward.output) == mask_durations(backward.output)
+        assert json.loads(backward.output)["config"]["strategies"] == ["NAIVE", "CLOSED_FORM"]
 
     def test_jobs_env_var_sets_parallelism(self, runner):
         result = runner.invoke(
@@ -236,12 +258,12 @@ class TestBench:
         real = identity.evaluate_closed_form
         calls = {"count": 0}
 
-        def flaky(inst):
+        def flaky(n):
             calls["count"] += 1
-            result = real(inst)
+            value = real(n)
             if calls["count"] == 2:  # second repetition silently corrupted
-                return EvalResult(inst.n, Strategy.CLOSED_FORM, result.value + 1)
-            return result
+                return value + 1
+            return value
 
         monkeypatch.setitem(identity.EVALUATORS, Strategy.CLOSED_FORM, flaky)
         result = runner.invoke(
@@ -294,11 +316,13 @@ class TestTable:
     [
         (["eval", "--n", "1000", "--format", "json"], 1),
         (["table", "--range", "900..902", "--format", "csv"], 3),
+        (["table", "--range", "0..2", "--format", "csv"], 3),
+        (["eval", "--n", "2", "--format", "json"], 1),
     ],
 )
 def test_digested_value_is_converted_once(runner, monkeypatch, argv, values):
-    # above the digest threshold a value's decimal text feeds only its
-    # digest, so it must be produced once per value, not once more per row
+    # a value's decimal text feeds its digest and, at or below the digest
+    # threshold, the printed value: it must be produced once per value
     converted = []
 
     def counting(value):
@@ -311,3 +335,58 @@ def test_digested_value_is_converted_once(runner, monkeypatch, argv, values):
     result = runner.invoke(main, argv)
     assert result.exit_code == 0
     assert len(converted) == len(set(converted)) == values
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--range", "0..2", "--naive-cutoff", "-1"],
+        ["bench", "--n", "2", "--naive-cutoff", "-1"],
+        ["eval", "--n", "2", "--digest-threshold", "-1"],
+        ["table", "--range", "0..2", "--digest-threshold", "-1"],
+    ],
+)
+def test_negative_bound_is_usage_error(runner, argv):
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 2
+    assert "must be >= 0, got -1" in result.output
+
+
+def test_internal_error_exits_3_with_traceback(runner, monkeypatch):
+    def out_of_memory(n):
+        raise MemoryError("simulated")
+
+    monkeypatch.setitem(identity.EVALUATORS, Strategy.NAIVE, out_of_memory)
+    result = runner.invoke(main, ["verify", "--range", "0..1"])
+    assert result.exit_code == 3
+    assert "Traceback (most recent call last)" in result.stderr
+    assert "MemoryError: simulated" in result.stderr
+
+
+def test_workers_clamped_to_sizes_and_cpus(runner, monkeypatch):
+    started = []
+
+    class RecordingPool:
+        """Stands in for the process pool: records its size, maps in-process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(runs, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(runs.os, "cpu_count", lambda: 4)
+    result = runner.invoke(main, ["verify", "--range", "0..2", "--jobs", "64", "--format", "json"])
+    assert result.exit_code == 0
+    assert json.loads(result.output)["config"]["jobs"] == 64  # echoes the request
+    assert runner.invoke(main, ["steps", "--range", "1..9", "--jobs", "64"]).exit_code == 0
+    monkeypatch.setattr(runs.os, "cpu_count", lambda: None)  # unknown: run serially
+    assert runner.invoke(main, ["verify", "--range", "0..9", "--jobs", "64"]).exit_code == 0
+    assert started == [3, 4]

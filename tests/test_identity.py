@@ -6,7 +6,6 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cbsum.combinatorics import SumInstance
 from cbsum.identity import (
     EVALUATORS,
     Strategy,
@@ -55,12 +54,9 @@ class TestEvaluators:
     def test_registry_covers_every_strategy(self):
         assert set(EVALUATORS) == set(Strategy)
 
-    def test_evaluators_accept_instance(self):
-        inst = SumInstance(3)
-        for strategy, evaluator in EVALUATORS.items():
-            result = evaluator(inst)
-            assert result.strategy is strategy
-            assert result.value == 7200
+    def test_evaluators_take_and_return_int(self):
+        for evaluator in EVALUATORS.values():
+            assert evaluator(3) == 7200
 
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError):
