@@ -117,6 +117,13 @@ class TestXValue:
         for n in range(1, 501):
             assert alternative_finish(n).x == half_row_sum(n - 1)
 
+    def test_degenerate_size_rejected(self):
+        # X needs row 2n-2, which n = 0 does not have
+        with pytest.raises(ValueError):
+            alternative_finish(0)
+        with pytest.raises(ValueError):
+            half_row_sum(-1)
+
 
 class TestStepReport:
     def test_compare_sets_flag(self):

@@ -1,4 +1,4 @@
-"""Tests for the binomial substrate: values, conventions, rows."""
+"""Tests for the binomial substrate: values, conventions, strategies, rows."""
 from __future__ import annotations
 
 import math
@@ -7,8 +7,26 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cbsum.combinatorics import PRIME_KERNEL_CROSSOVER, binomial, pascal_row
+from cbsum.digests import value_digest
+from cbsum.identity import EVALUATORS, Strategy, evaluate
 
-from oracle import pascal_row_by_addition
+from oracle import binomial_factorial, binomial_multiplicative, pascal_row_by_addition
+
+
+def binomial_from_row(m: int, k: int) -> int:
+    """C(m, k) read off the package's ``pascal_row``, 0 off either end."""
+    row = pascal_row(m)
+    return row[k] if 0 <= k < len(row) else 0
+
+
+#: Three textbook ways to get one coefficient, each checked against
+#: ``binomial``. The row goes through the package's ``pascal_row``; the
+#: other two are independent oracles.
+COEFFICIENT_STRATEGIES = {
+    "row": binomial_from_row,
+    "multiplicative": binomial_multiplicative,
+    "factorial": binomial_factorial,
+}
 
 
 class TestBinomial:
@@ -79,6 +97,14 @@ class TestPascalRow:
     def test_large_row_sums_to_power_of_two(self):
         assert sum(pascal_row(2000)) == 2**2000
 
+    def test_entry_zero_convention(self):
+        # the row holds C(5, 0..5); binomial reads entries off either end as 0
+        row = pascal_row(5)
+        assert len(row) == 6
+        assert binomial(5, -1) == 0
+        assert binomial(5, 6) == 0
+        assert row[2] == binomial(5, 2) == 10
+
     def test_len_and_indexing(self):
         row = pascal_row(3)
         assert len(row) == 4
@@ -115,3 +141,52 @@ class TestRowInvariants:
                 assert coeffs == expected, f"Pascal's rule broken in row {m}"
             previous = coeffs
             power *= 2
+
+
+class TestStrategies:
+    @pytest.mark.parametrize("name,strategy", sorted(COEFFICIENT_STRATEGIES.items()))
+    def test_small_value(self, name, strategy):
+        assert strategy(4, 2) == binomial(4, 2) == 6
+
+    @pytest.mark.parametrize("name,strategy", sorted(COEFFICIENT_STRATEGIES.items()))
+    def test_zero_convention(self, name, strategy):
+        for k in (-1, 7):
+            assert strategy(6, k) == binomial(6, k) == 0
+
+    @pytest.mark.parametrize("name,strategy", sorted(COEFFICIENT_STRATEGIES.items()))
+    def test_negative_upper_index_rejected(self, name, strategy):
+        with pytest.raises(ValueError):
+            strategy(-3, 1)
+        with pytest.raises(ValueError):
+            binomial(-3, 1)
+
+    def test_pairwise_agreement_midsize(self):
+        values = {name: fn(200, 100) for name, fn in COEFFICIENT_STRATEGIES.items()}
+        values["binomial"] = binomial(200, 100)
+        assert len(set(values.values())) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(0, 10_000), k=st.integers(-5, 10_005))
+    def test_all_strategies_agree_randomized(self, m, k):
+        reference = binomial(m, k)
+        for name, strategy in COEFFICIENT_STRATEGIES.items():
+            assert strategy(m, k) == reference, name
+
+    def test_central_coefficient_digest_agreement_at_scale(self):
+        # n = 10^5, past the prime-kernel crossover: too large to compare
+        # decimals by eye, so compare digests with the factorial formula
+        a = binomial(200_000, 100_000)
+        b = binomial_factorial(200_000, 100_000)
+        assert value_digest(a) == value_digest(b)
+
+
+class TestSumInstance:
+    """An instance of S(n) is a plain int n; every strategy rejects n < 0."""
+
+    def test_negative_size_rejected(self):
+        for evaluator in EVALUATORS.values():
+            with pytest.raises(ValueError):
+                evaluator(-1)
+        for strategy in Strategy:
+            with pytest.raises(ValueError):
+                evaluate(-1, strategy)
