@@ -22,8 +22,11 @@ X = sum_{i>=0} C(2n-2, n-1+i), the chain is:
         C(2n-2,n-1) C(2n-1,n-1)
 
 Every function here evaluates its line literally, iterating only over the
-support of the coefficients involved. Rational steps are verified in
-cleared-denominator integer form; no rational arithmetic exists anywhere.
+support of the coefficients involved. Rows 2n and 2n-2 and their prefix
+sums are built once per n and shared by all lines, so each inner sum
+sum_{a<=k<b} row[k] is one prefix-sum difference and each line costs O(n)
+big-integer operations. Rational steps are verified in cleared-denominator
+integer form; no rational arithmetic exists anywhere.
 
 Quantities are returned as (possibly signed) ints. In a correct build they
 are all positive, but two-term combinations could in principle go negative,
@@ -32,10 +35,12 @@ so nothing here assumes a sign.
 from __future__ import annotations
 
 import enum
+import functools
+import itertools
 import time
 from dataclasses import dataclass
 
-from .combinatorics import pascal_row
+from .combinatorics import binomial, pascal_row
 from .identity import evaluate_naive, evaluate_symmetrized
 
 
@@ -87,6 +92,36 @@ def _require_positive(n: int, where: str) -> None:
         )
 
 
+class _Rows:
+    """Rows 2n (``big``) and 2n-2 (``small``) of Pascal's triangle, with
+    their prefix sums: ``big_sum(a, b)`` is sum(big[a:b]) for 0 <= a <= b.
+
+    A plain class, not a dataclass: building one at import would add about
+    1.5 ms to every command's start-up.
+    """
+
+    __slots__ = ("big", "small", "_big_prefix", "_small_prefix")
+
+    def __init__(self, n: int) -> None:
+        self.big = pascal_row(2 * n)
+        self.small = pascal_row(2 * n - 2)
+        self._big_prefix = tuple(itertools.accumulate(self.big, initial=0))
+        self._small_prefix = tuple(itertools.accumulate(self.small, initial=0))
+
+    def big_sum(self, a: int, b: int) -> int:
+        return self._big_prefix[b] - self._big_prefix[a]
+
+    def small_sum(self, a: int, b: int) -> int:
+        return self._small_prefix[b] - self._small_prefix[a]
+
+
+@functools.lru_cache(maxsize=1)
+def _rows(n: int) -> _Rows:
+    """The rows every line at ``n`` reads, built once for consecutive calls
+    at the same n. :func:`verify_chain_timed` drops them when it is done."""
+    return _Rows(n)
+
+
 def absorbed_form(n: int) -> int:
     """L2: the value of S(n) / (4 * 2n * (2n-1)) after absorption,
 
@@ -97,17 +132,17 @@ def absorbed_form(n: int) -> int:
     comparing against L1).
     """
     _require_positive(n, "absorbed_form")
-    big = pascal_row(2 * n)
-    small = pascal_row(2 * n - 2)
+    rows = _rows(n)
+    big, small = rows.big, rows.small
     top = 2 * n - 2
     first = 0
     for i in range(n):  # C(2n-2, n-1+i) vanishes for i > n-1
-        first += small[n - 1 + i] * sum(big[n - i : n + i + 1])
+        first += small[n - 1 + i] * rows.big_sum(n - i, n + i + 1)
     second = 0
     for i in range(n + 1):
         lo = max(0, n - 1 - i)
         hi = min(top, n - 1 + i)
-        second += big[n + i] * sum(small[lo : hi + 1])
+        second += big[n + i] * rows.small_sum(lo, hi + 1)
     return -first + second
 
 
@@ -122,18 +157,18 @@ def folded_form(n: int) -> int:
     where the single sums are the j = 0 boundary terms the fold exposes.
     """
     _require_positive(n, "folded_form")
-    big = pascal_row(2 * n)
-    small = pascal_row(2 * n - 2)
+    rows = _rows(n)
+    big, small = rows.big, rows.small
     top = 2 * n - 2
     first = 0
     for i in range(n):
-        first += small[n - 1 + i] * sum(big[n : n + i + 1])
-    second = big[n] * sum(small[n - 1 :])
+        first += small[n - 1 + i] * rows.big_sum(n, n + i + 1)
+    second = big[n] * rows.small_sum(n - 1, top + 1)
     third = 0
     for i in range(n + 1):
         hi = min(top, n - 1 + i)
-        third += big[n + i] * sum(small[n - 1 : hi + 1])
-    fourth = small[n - 1] * sum(big[n:])
+        third += big[n + i] * rows.small_sum(n - 1, hi + 1)
+    fourth = small[n - 1] * rows.big_sum(n, 2 * n + 1)
     return -2 * first + second + 2 * third - fourth
 
 
@@ -149,22 +184,19 @@ def cancelled_form(n: int) -> int:
         + C(2n,n)     sum_{i>=0} C(2n-2,n-1+i)
     """
     _require_positive(n, "cancelled_form")
-    big = pascal_row(2 * n)
-    small = pascal_row(2 * n - 2)
+    rows = _rows(n)
+    big, small = rows.big, rows.small
     top = 2 * n - 2
 
     def triangle(shift_i: int, shift_j: int) -> int:
         # sum over 0 <= j <= i of small[shift_i + i] * small[shift_j + j],
         # iterating only where both factors are in range
         total = 0
-        for i in range(n + 1):
-            ti = shift_i + i
-            if ti < 0 or ti > top:
-                continue
-            lo = max(0, shift_j)
+        lo = max(0, shift_j)
+        for i in range(max(0, -shift_i), min(n, top - shift_i) + 1):
             hi = min(top, shift_j + i)
             if hi >= lo:
-                total += small[ti] * sum(small[lo : hi + 1])
+                total += small[shift_i + i] * rows.small_sum(lo, hi + 1)
         return total
 
     return (
@@ -172,8 +204,8 @@ def cancelled_form(n: int) -> int:
         + 2 * triangle(n - 2, n - 1)
         + 2 * triangle(n, n - 1)
         - 2 * triangle(n - 1, n - 2)
-        - small[n - 1] * sum(big[n:])
-        + big[n] * sum(small[n - 1 :])
+        - small[n - 1] * rows.big_sum(n, 2 * n + 1)
+        + big[n] * rows.small_sum(n - 1, top + 1)
     )
 
 
@@ -186,20 +218,27 @@ def telescoped_form(n: int) -> int:
         + C(2n,n)       sum_{i>=0} C(2n-2,n-1+i)
     """
     _require_positive(n, "telescoped_form")
-    big = pascal_row(2 * n)
-    small = pascal_row(2 * n - 2)
+    rows = _rows(n)
+    big, small = rows.big, rows.small
+    top = 2 * n - 2
     center = small[n - 1]
     below = small[n - 2] if n >= 2 else 0
-    low_sum = sum(small[max(0, n - 2) :])
-    x = sum(small[n - 1 :])
-    return 2 * center * low_sum - 2 * below * x - center * sum(big[n:]) + big[n] * x
+    low_sum = rows.small_sum(max(0, n - 2), top + 1)
+    x = rows.small_sum(n - 1, top + 1)
+    parent_half = rows.big_sum(n, 2 * n + 1)
+    return 2 * center * low_sum - 2 * below * x - center * parent_half + big[n] * x
 
 
-def closure_sides(n: int) -> tuple[int, int]:
-    """L7 in cleared-denominator form: 4(2n-1) L6  vs  n C(2n,n)^2."""
+def closure_sides(n: int, telescoped: int | None = None) -> tuple[int, int]:
+    """L7 in cleared-denominator form: 4(2n-1) L6  vs  n C(2n,n)^2.
+
+    ``telescoped`` is L6 at ``n`` when the caller has already evaluated it.
+    """
     _require_positive(n, "closure_sides")
-    center = pascal_row(2 * n)[n]
-    return 4 * (2 * n - 1) * telescoped_form(n), n * center * center
+    if telescoped is None:
+        telescoped = telescoped_form(n)
+    center = _rows(n).big[n]
+    return 4 * (2 * n - 1) * telescoped, n * center * center
 
 
 @dataclass(frozen=True)
@@ -240,15 +279,23 @@ class AlternativeFinish:
         )
 
 
-def alternative_finish(n: int) -> AlternativeFinish:
-    """Evaluate the X-based finish and everything it depends on."""
+def alternative_finish(n: int, telescoped: int | None = None) -> AlternativeFinish:
+    """Evaluate the X-based finish and everything it depends on.
+
+    ``telescoped`` is L6 at ``n`` when the caller has already evaluated it.
+    C(2n-1,n-1) comes from :func:`binomial`, not from the rows, so the
+    adjacent-pair substitution is checked against an independent value.
+    """
     _require_positive(n, "alternative_finish")
-    big = pascal_row(2 * n)
-    small = pascal_row(2 * n - 2)
-    row_above = pascal_row(2 * n - 1)
+    if telescoped is None:
+        telescoped = telescoped_form(n)
+    rows = _rows(n)
+    big, small = rows.big, rows.small
+    top = 2 * n - 2
+    above = binomial(2 * n - 1, n - 1)
     center = small[n - 1]
     below = small[n - 2] if n >= 2 else 0
-    x = sum(small[n - 1 :])
+    x = rows.small_sum(n - 1, top + 1)
     expression = (
         2 * center * (below + x)
         - 2 * below * x
@@ -259,11 +306,11 @@ def alternative_finish(n: int) -> AlternativeFinish:
         n=n,
         x=x,
         expression=expression,
-        closed_product=center * row_above[n - 1],
-        telescoped=telescoped_form(n),
-        low_shift_sides=(sum(small[max(0, n - 2) :]), below + x),
-        parent_row_sides=(sum(big[n:]), 4 * x - center + below),
-        adjacent_pair_sides=(below + center, row_above[n - 1]),
+        closed_product=center * above,
+        telescoped=telescoped,
+        low_shift_sides=(rows.small_sum(max(0, n - 2), top + 1), below + x),
+        parent_row_sides=(rows.big_sum(n, 2 * n + 1), 4 * x - center + below),
+        adjacent_pair_sides=(below + center, above),
     )
 
 
@@ -304,11 +351,11 @@ def verify_chain_timed(n: int) -> list[tuple[StepReport, int]]:
     emit(StepReport.compare(n, StepId.L6_TELESCOPED, l5, l6), t)
 
     t = clock()
-    closed_lhs, closed_rhs = closure_sides(n)
+    closed_lhs, closed_rhs = closure_sides(n, telescoped=l6)
     emit(StepReport.compare(n, StepId.L7_CLOSED, closed_lhs, closed_rhs), t)
 
     t = clock()
-    finish = alternative_finish(n)
+    finish = alternative_finish(n, telescoped=l6)
     report = StepReport(
         n=n,
         step=StepId.X_FINISH,
@@ -317,6 +364,8 @@ def verify_chain_timed(n: int) -> list[tuple[StepReport, int]]:
         equal=l6 == finish.expression and finish.all_equal,
     )
     emit(report, t)
+    # rows kept through the next n's reference sums would raise peak memory
+    _rows.cache_clear()
     return out
 
 

@@ -2,7 +2,8 @@
 
 Exit codes follow the CI-friendly contract: 0 = all checks pass,
 1 = mathematical mismatch found, 2 = usage or configuration error,
-3 = internal error (an uncaught exception, traceback on stderr).
+3 = internal error (an uncaught exception, traceback on stderr),
+130 = interrupted (Ctrl-C).
 """
 from __future__ import annotations
 
@@ -89,7 +90,8 @@ cutoff_option = click.option(
     type=int,
     default=DEFAULT_NAIVE_CUTOFF,
     show_default=True,
-    help="Skip the naive strategy above this n.",
+    help="Largest n the naive strategy runs at: verify and bench skip it "
+    "above, eval and table refuse to run.",
 )
 full_decimal_option = click.option(
     "--full-decimal",
@@ -111,15 +113,31 @@ strategy_option = click.option(
 )
 
 
+class _Interrupted(Exception):
+    """Ctrl-C, carried past click's own handler to :meth:`_Main.main`."""
+
+
 class _Main(click.Group):
-    """Exits 3 with the traceback on an uncaught exception, where click
-    would exit 1, the code of a mathematical mismatch. With
-    ``standalone_mode=False`` the exception propagates, as click's own do.
+    """Exits 3 with the traceback on an uncaught exception, and 130 after
+    "Aborted!" on Ctrl-C, where click would exit 1 for both, the code of a
+    mathematical mismatch. With ``standalone_mode=False`` the exception
+    propagates, and Ctrl-C raises ``click.Abort``, as in click itself.
     """
+
+    def invoke(self, ctx: click.Context) -> Any:
+        try:
+            return super().invoke(ctx)
+        except (KeyboardInterrupt, click.Abort) as exc:
+            raise _Interrupted() from exc
 
     def main(self, *args: Any, standalone_mode: bool = True, **kwargs: Any) -> Any:
         try:
             return super().main(*args, standalone_mode=standalone_mode, **kwargs)
+        except _Interrupted:
+            if not standalone_mode:
+                raise click.Abort()
+            click.echo("\nAborted!", err=True)
+            sys.exit(130)
         except Exception:
             if not standalone_mode:
                 raise
@@ -141,9 +159,10 @@ def main() -> None:
 @click.option("--n", "n", type=int, required=True, help="Problem size n >= 0.")
 @strategy_option
 @format_option
+@cutoff_option
 @full_decimal_option
 @digest_threshold_option
-def eval_cmd(n, strategy, output_format, full_decimal, digest_threshold) -> None:
+def eval_cmd(n, strategy, output_format, naive_cutoff, full_decimal, digest_threshold) -> None:
     """Print S(n) computed with one strategy."""
     if n < 0:
         raise click.UsageError(f"n must be >= 0, got {n}")
@@ -153,6 +172,7 @@ def eval_cmd(n, strategy, output_format, full_decimal, digest_threshold) -> None
         n_max=n,
         strategies_enabled=(STRATEGY_NAMES[strategy],),
         output_format=OutputFormat(output_format),
+        naive_cutoff=naive_cutoff,
         full_decimal=full_decimal,
         digest_threshold=digest_threshold,
     )
@@ -256,9 +276,10 @@ def bench_cmd(n, range_spec, strategies, repetitions, output_format, naive_cutof
 @click.option("--range", "range_spec", required=True, help="Range of n, e.g. 0..20.")
 @strategy_option
 @format_option
+@cutoff_option
 @full_decimal_option
 @digest_threshold_option
-def table_cmd(range_spec, strategy, output_format, full_decimal, digest_threshold) -> None:
+def table_cmd(range_spec, strategy, output_format, naive_cutoff, full_decimal, digest_threshold) -> None:
     """Tabulate n, S(n) and its decimal digit count over a range."""
     n_min, n_max = parse_range(range_spec)
     config = RunConfig(
@@ -267,6 +288,7 @@ def table_cmd(range_spec, strategy, output_format, full_decimal, digest_threshol
         n_max=n_max,
         strategies_enabled=(STRATEGY_NAMES[strategy],),
         output_format=OutputFormat(output_format),
+        naive_cutoff=naive_cutoff,
         full_decimal=full_decimal,
         digest_threshold=digest_threshold,
     )

@@ -25,7 +25,7 @@ from typing import Any, Mapping, Sequence
 
 from .bench import DEFAULT_NAIVE_CUTOFF
 from .chain import CHAIN_COMPARISONS, StepId
-from .digests import decimal_digits, decimal_str, text_digest, value_digest
+from .digests import decimal_str, text_digest
 from .identity import Strategy
 
 #: Canonical CSV columns for comparison-style reports.
@@ -81,6 +81,16 @@ class RunConfig:
             raise ValueError(f"naive cutoff must be >= 0, got {self.naive_cutoff}")
         if self.digest_threshold < 0:
             raise ValueError(f"digest threshold must be >= 0, got {self.digest_threshold}")
+        if (
+            self.command in ("eval", "table")
+            and Strategy.NAIVE in self.strategies_enabled
+            and self.n_max > self.naive_cutoff
+        ):
+            raise ValueError(
+                "the naive strategy runs only up to n = --naive-cutoff "
+                f"({self.naive_cutoff}), got n={self.n_max}; raise --naive-cutoff "
+                "to run it anyway"
+            )
         if self.command == "verify":
             # naive is skipped above the cutoff, so n_max measures the fewest
             measured = len(self.strategies_enabled) - (
@@ -154,11 +164,10 @@ def render_report(
 def describe_value(value: int, config: RunConfig) -> dict[str, Any]:
     """Value fields for machine output, honoring the digest threshold.
 
-    Always carries the digest; a value shown in full is converted to
-    decimal once, for both its text and its digest.
+    Always carries the digest. The value is converted to decimal once; that
+    text gives the digest, the digit count and, if shown, the value.
     """
-    digits = decimal_digits(value)
-    if config.full_decimal or digits <= config.digest_threshold:
-        text = decimal_str(value)
-        return {"value": text, "digest": text_digest(text), "digits": digits}
-    return {"value": None, "digest": value_digest(value), "digits": digits}
+    text = decimal_str(value)
+    digits = len(text) - (value < 0)
+    shown = config.full_decimal or digits <= config.digest_threshold
+    return {"value": text if shown else None, "digest": text_digest(text), "digits": digits}

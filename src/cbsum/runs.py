@@ -140,15 +140,21 @@ def run_steps(config: RunConfig) -> tuple[list[Row], bool, list[str]]:
     rows: list[Row] = []
     text: list[str] = []
     for n, reports in zip(ns, per_n):
+        # lines share values, and a holding step has lhs == rhs: digest each
+        # distinct value of this n once
+        digests: dict[int, str] = {}
         for report, elapsed in reports:
             if report.step not in enabled:
                 continue
+            for value in (report.lhs, report.rhs):
+                if value not in digests:
+                    digests[value] = value_digest(value)
             rows.append(
                 {
                     "n": n,
                     "step_or_strategy": report.step.name,
-                    "lhs_digest": value_digest(report.lhs),
-                    "rhs_digest": value_digest(report.rhs),
+                    "lhs_digest": digests[report.lhs],
+                    "rhs_digest": digests[report.rhs],
                     "equal": report.equal,
                     "duration_ns": elapsed,
                 }

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from cbsum import chain
 from cbsum.chain import (
     CHAIN_COMPARISONS,
     StepId,
@@ -23,6 +24,11 @@ from cbsum.identity import evaluate_naive, evaluate_symmetrized, half_row_sum
 from oracle import brute_force_sum
 
 ALL_FORMS = (absorbed_form, folded_form, cancelled_form, telescoped_form)
+
+
+def line_value(n: int) -> int:
+    """What L2, L3, L5 and L6 all equal: C(2n-2,n-1) C(2n-1,n-1), from math.comb."""
+    return math.comb(2 * n - 2, n - 1) * math.comb(2 * n - 1, n - 1)
 
 
 class TestLineQuantities:
@@ -157,6 +163,58 @@ class TestVerifyChain:
     def test_degenerate_size_rejected(self):
         with pytest.raises(ValueError):
             verify_chain(0)
+
+
+class TestSharedRows:
+    """Every line at n reads rows 2n and 2n-2 built once, through prefix sums."""
+
+    @pytest.mark.parametrize("form", ALL_FORMS)
+    def test_forms_match_independent_oracle(self, form):
+        for n in range(1, 151):
+            assert form(n) == line_value(n), n
+
+    @pytest.mark.parametrize("form", ALL_FORMS)
+    def test_interleaved_sizes_get_their_own_rows(self, form):
+        for n in (7, 8, 7, 1, 7):
+            assert form(n) == line_value(n), n
+
+    def test_interleaved_closure_and_finish(self):
+        for n in (7, 8, 7, 1, 7):
+            assert closure_sides(n) == (
+                4 * (2 * n - 1) * line_value(n),
+                n * math.comb(2 * n, n) ** 2,
+            )
+            finish = alternative_finish(n)
+            assert finish.expression == finish.telescoped == line_value(n)
+            assert finish.x == sum(math.comb(2 * n - 2, k) for k in range(n - 1, 2 * n - 1))
+
+    def test_verify_chain_evaluates_l6_once(self, monkeypatch):
+        calls = []
+        real = chain.telescoped_form
+
+        def counting(n):
+            calls.append(n)
+            return real(n)
+
+        monkeypatch.setattr(chain, "telescoped_form", counting)
+        assert all(report.equal for report, _ in verify_chain_timed(5))
+        assert calls == [5]
+
+    def test_rows_built_once_per_size(self, monkeypatch):
+        # counts the chain's own row builds; the naive and symmetrized
+        # evaluators build row 2n for themselves through identity.pascal_row
+        built = []
+        real = chain.pascal_row
+
+        def counting(m):
+            built.append(m)
+            return real(m)
+
+        monkeypatch.setattr(chain, "pascal_row", counting)
+        chain._rows.cache_clear()
+        for n in (3, 4, 9):
+            assert all(report.equal for report, _ in verify_chain_timed(n))
+        assert built == [6, 4, 8, 6, 18, 16]
 
 
 class TestDivisibility:

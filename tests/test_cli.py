@@ -5,8 +5,10 @@ import csv
 import io
 import json
 
+import click
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from cbsum import digests, identity, report, runs
 from cbsum.cli import main, parse_range
@@ -318,6 +320,9 @@ class TestTable:
         (["table", "--range", "900..902", "--format", "csv"], 3),
         (["table", "--range", "0..2", "--format", "csv"], 3),
         (["eval", "--n", "2", "--format", "json"], 1),
+        # the 14 digests of one n's seven steps cover 3 distinct values:
+        # S, L6 and 4(2n-1) L6
+        (["steps", "--range", "5..5", "--format", "json"], 3),
     ],
 )
 def test_digested_value_is_converted_once(runner, monkeypatch, argv, values):
@@ -390,3 +395,65 @@ def test_workers_clamped_to_sizes_and_cpus(runner, monkeypatch):
     monkeypatch.setattr(runs.os, "cpu_count", lambda: None)  # unknown: run serially
     assert runner.invoke(main, ["verify", "--range", "0..9", "--jobs", "64"]).exit_code == 0
     assert started == [3, 4]
+
+
+def test_interrupt_exits_130(runner, monkeypatch):
+    def interrupted(n):
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(identity.EVALUATORS, Strategy.CLOSED_FORM, interrupted)
+    result = runner.invoke(main, ["eval", "--n", "2"])
+    assert result.exit_code == 130
+    assert "Aborted!" in result.stderr
+    assert "Traceback" not in result.stderr
+    with pytest.raises(click.Abort):  # embedded callers see click's own Abort
+        main.main(args=["eval", "--n", "2"], standalone_mode=False)
+
+
+class TestNaiveCutoffOnValueCommands:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--n", "11", "--strategy", "naive", "--naive-cutoff", "10"],
+            ["table", "--range", "0..11", "--strategy", "naive", "--naive-cutoff", "10"],
+            # the default cutoff, 3000, holds without the option
+            ["eval", "--n", "20000", "--strategy", "naive"],
+        ],
+    )
+    def test_naive_above_cutoff_is_usage_error(self, runner, argv):
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 2
+        assert "naive strategy runs only up to n = --naive-cutoff" in result.output
+
+    def test_naive_up_to_cutoff_runs(self, runner):
+        argv = ["table", "--range", "0..10", "--strategy", "naive", "--format", "csv"]
+        naive = runner.invoke(main, argv + ["--naive-cutoff", "10"])
+        closed = runner.invoke(main, argv[:3] + ["--strategy", "closed-form", "--format", "csv"])
+        assert naive.exit_code == closed.exit_code == 0
+        assert naive.output == closed.output
+        assert runner.invoke(main, ["eval", "--n", "10", "--strategy", "naive", "--naive-cutoff", "10"]).exit_code == 0
+
+    def test_cutoff_binds_only_naive(self, runner):
+        result = runner.invoke(main, ["eval", "--n", "11", "--strategy", "symmetrized", "--naive-cutoff", "10"])
+        assert result.exit_code == 0
+
+
+def mask_jobs(report: str) -> str:
+    """``report`` with durations and the config's echo of ``--jobs`` masked."""
+    return mask_durations(report).replace('"jobs": 2,', '"jobs": 1,')
+
+
+@settings(max_examples=5, deadline=None)
+@given(
+    command=st.sampled_from(["steps", "verify"]),
+    low=st.integers(1, 12),
+    width=st.integers(1, 4),
+    output_format=st.sampled_from(["json", "csv"]),
+)
+def test_report_is_independent_of_worker_count(command, low, width, output_format):
+    argv = [command, "--range", f"{low}..{low + width}", "--format", output_format]
+    runner = CliRunner()
+    serial = runner.invoke(main, argv + ["--jobs", "1"])
+    parallel = runner.invoke(main, argv + ["--jobs", "2"])
+    assert serial.exit_code == parallel.exit_code == 0
+    assert mask_jobs(serial.output) == mask_jobs(parallel.output)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cbsum.digests import _LEAF_BITS, decimal_digits, decimal_str, value_digest
+from cbsum.report import RunConfig, describe_value
 
 HAS_LIMIT = hasattr(sys, "get_int_max_str_digits")
 
@@ -59,6 +60,15 @@ class TestDecimalStr:
     def test_digit_count_matches_conversion(self):
         for value in (0, 9, 10, 10**700 - 1, 10**700, 3**5000):
             assert decimal_digits(value) == len(decimal_str(value))
+
+    @pytest.mark.parametrize("threshold", [0, 10**6])
+    def test_reported_digit_count_leaves_out_the_sign(self, threshold):
+        config = RunConfig(command="eval", n_min=0, n_max=0, digest_threshold=threshold)
+        for value in (0, 9, -9, 10, -10, 10**1200 - 1, 10**1200, -(10**1200), -(3**5000)):
+            fields = describe_value(value, config)
+            assert fields["digits"] == decimal_digits(value) == len(reference_str(abs(value)))
+            assert fields["digest"] == value_digest(value)
+            assert fields["value"] == (reference_str(value) if threshold else None)
 
 
 @pytest.mark.skipif(not HAS_LIMIT, reason="interpreter has no int-to-str digit limit")
