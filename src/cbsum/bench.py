@@ -13,7 +13,6 @@ rather than silently vanishing from the report.
 """
 from __future__ import annotations
 
-import statistics
 import time
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -75,6 +74,8 @@ def run_benchmark(
 
 def median_duration_ns(records: Sequence[BenchRecord], strategy: Strategy) -> int:
     """Median measured duration for a strategy."""
+    import statistics  # only bench prints medians; other commands skip the import
+
     durations = [r.duration_ns for r in records if r.strategy is strategy and not r.skipped]
     if not durations:
         raise ValueError(f"no measurements for {strategy.name}")

@@ -8,11 +8,11 @@ Exit codes follow the CI-friendly contract: 0 = all checks pass,
 from __future__ import annotations
 
 import sys
-import traceback
 from typing import Any
 
 import click
 
+from . import __version__
 from .bench import DEFAULT_NAIVE_CUTOFF
 from .chain import CHAIN_COMPARISONS, StepId
 from .identity import Strategy
@@ -141,12 +141,14 @@ class _Main(click.Group):
         except Exception:
             if not standalone_mode:
                 raise
+            import traceback  # only a crash needs it
+
             traceback.print_exc()
             sys.exit(3)
 
 
 @click.group(cls=_Main)
-@click.version_option(package_name="cbsum")
+@click.version_option(version=__version__)
 def main() -> None:
     """Exact evaluation and verification of a central-binomial double sum.
 

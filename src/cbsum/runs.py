@@ -9,7 +9,6 @@ deterministic for a fixed config.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from typing import Any, Callable, Sequence
 
@@ -25,13 +24,23 @@ EVAL_CSV_COLUMNS = ("n", "strategy", "value", "digest", "digits", "duration_ns")
 TABLE_CSV_COLUMNS = ("n", "value", "digest", "digits")
 
 
+def ProcessPoolExecutor(max_workers: int) -> Any:
+    """The standard library's process pool, imported on first call: loading
+    ``multiprocessing`` costs every call start-up time, and a call that runs
+    serially never needs it."""
+    from concurrent.futures import ProcessPoolExecutor as executor
+
+    return executor(max_workers=max_workers)
+
+
 def _map_over(fn: Callable[[Any], Any], items: Sequence[Any], jobs: int) -> list[Any]:
     workers = min(jobs, len(items), os.cpu_count() or 1)
     if workers <= 1:
         return [fn(item) for item in items]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunk = max(1, len(items) // (workers * 4))
-        return list(pool.map(fn, items, chunksize=chunk))
+        # one item per task: a worker that finishes takes the next n, so the
+        # costly large n at the end of a range do not queue behind one worker
+        return list(pool.map(fn, items))
 
 
 def _short(digest: str) -> str:

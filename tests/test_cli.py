@@ -4,13 +4,17 @@ from __future__ import annotations
 import csv
 import io
 import json
+from pathlib import Path
+from unittest import mock
 
 import click
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from cbsum import digests, identity, report, runs
+import cbsum
+from cbsum import chain, digests, identity, report, runs
+from cbsum.chain import CHAIN_COMPARISONS, StepId
 from cbsum.cli import main, parse_range
 from cbsum.identity import Strategy
 
@@ -37,6 +41,17 @@ class TestParseRange:
 
         with pytest.raises(click.UsageError):
             parse_range(bad)
+
+
+def test_version_matches_package_and_pyproject(runner):
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    declared = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["version"]
+    # read from the package itself: a checkout on PYTHONPATH has no
+    # installed metadata to look the version up in
+    result = runner.invoke(main, ["--version"])
+    assert result.exit_code == 0, result.output
+    assert result.output.split()[-1] == cbsum.__version__ == declared
 
 
 class TestEval:
@@ -397,6 +412,35 @@ def test_workers_clamped_to_sizes_and_cpus(runner, monkeypatch):
     assert started == [3, 4]
 
 
+def test_pool_takes_one_n_per_task(runner, monkeypatch):
+    handed = []
+
+    class RecordingPool:
+        """Stands in for the process pool: records how work is handed to it."""
+
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, **options):
+            handed.append((len(items), options))
+            return map(fn, items)
+
+    monkeypatch.setattr(runs, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(runs.os, "cpu_count", lambda: 2)
+    # 41 and 20 n: contiguous chunks of len // (2 workers * 4) would be 5 and 2
+    verify = ["verify", "--range", "0..40", "--naive-cutoff", "5", "--jobs", "2"]
+    assert runner.invoke(main, verify).exit_code == 0
+    assert runner.invoke(main, ["steps", "--range", "1..20", "--jobs", "2"]).exit_code == 0
+    assert [count for count, _ in handed] == [41, 20]
+    assert all(options.get("chunksize", 1) == 1 for _, options in handed)
+
+
 def test_interrupt_exits_130(runner, monkeypatch):
     def interrupted(n):
         raise KeyboardInterrupt
@@ -457,3 +501,116 @@ def test_report_is_independent_of_worker_count(command, low, width, output_forma
     parallel = runner.invoke(main, argv + ["--jobs", "2"])
     assert serial.exit_code == parallel.exit_code == 0
     assert mask_jobs(serial.output) == mask_jobs(parallel.output)
+
+
+STRATEGY_VALUES = sorted(s.value for s in Strategy)
+STEP_NAMES = [s.name for s in CHAIN_COMPARISONS]
+
+
+def csv_cell(value) -> str:
+    """How a JSON report value reads in the CSV report of the same call."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+
+@st.composite
+def report_calls(draw):
+    """argv (without ``--format``) of a small eval, table, verify or steps call."""
+    command = draw(st.sampled_from(["eval", "table", "verify", "steps"]))
+    low = draw(st.integers(1 if command == "steps" else 0, 12))
+    high = low if command == "eval" else low + draw(st.integers(0, 4))
+    argv = [command, "--n", str(low)] if command == "eval" else [command, "--range", f"{low}..{high}"]
+    if command in ("eval", "table"):
+        # thresholds around the digit counts at these n, so values are
+        # shown in some calls and digested in others
+        argv += ["--strategy", draw(st.sampled_from(STRATEGY_VALUES))]
+        argv += ["--digest-threshold", str(draw(st.integers(0, 20)))]
+    elif command == "verify":
+        for name in sorted(draw(st.sets(st.sampled_from(STRATEGY_VALUES), min_size=2))):
+            argv += ["--strategy", name]
+    else:
+        for name in sorted(draw(st.sets(st.sampled_from(STEP_NAMES), min_size=1))):
+            argv += ["--step", name]
+    return argv
+
+
+@settings(max_examples=10, deadline=None)
+@given(argv=report_calls())
+def test_json_and_csv_carry_equal_values(argv):
+    runner = CliRunner()
+    as_json = runner.invoke(main, argv + ["--format", "json"])
+    as_csv = runner.invoke(main, argv + ["--format", "csv"])
+    assert as_json.exit_code == as_csv.exit_code == 0
+    json_rows = json.loads(as_json.output)["results"]
+    csv_rows = rows_from_csv(as_csv.output)
+    assert len(csv_rows) == len(json_rows) > 0
+    for c, j in zip(csv_rows, json_rows):
+        for column, cell in c.items():
+            if column == "duration_ns":  # measured afresh by each call
+                assert (cell == "") == (j[column] is None)
+            else:
+                assert cell == csv_cell(j[column]), column
+
+
+def off_by_one_at(fn, bad_n):
+    """``fn`` with its value at ``bad_n`` (only there) one too large."""
+
+    def wrong(n, *args, **kwargs):
+        value = fn(n, *args, **kwargs)
+        return value + 1 if n == bad_n else value
+
+    return wrong
+
+
+@st.composite
+def checked_calls(draw):
+    """A small verify, bench or steps call, and a fault planted at one n.
+
+    Returns ``(argv, patch, expected)``; ``expected`` is None when the call
+    must be a usage error, else whether the report must pass.
+    """
+    command = draw(st.sampled_from(["verify", "bench", "steps"]))
+    low = draw(st.integers(1, 10))
+    high = low + draw(st.integers(0, 4))
+    bad_n = draw(st.integers(low - 1, high + 1))  # mostly inside the range
+    argv = [command, "--range", f"{low}..{high}", "--format", "json"]
+    in_range = low <= bad_n <= high
+    if command == "steps":
+        steps = sorted(draw(st.sets(st.sampled_from(STEP_NAMES), min_size=1)))
+        argv += [arg for name in steps for arg in ("--step", name)]
+        patch = mock.patch.object(chain, "folded_form", off_by_one_at(chain.folded_form, bad_n))
+        # a wrong L3 breaks its comparisons with L2 and with L5
+        touched = {StepId.L3_FOLDED.name, StepId.L5_CANCELLED.name}
+        return argv, patch, not (in_range and touched & set(steps))
+    cutoff = draw(st.integers(0, 16))
+    strategies = draw(st.sets(st.sampled_from(STRATEGY_VALUES), min_size=1 if command == "bench" else 2))
+    bad = Strategy(draw(st.sampled_from(STRATEGY_VALUES)))
+    argv += [arg for name in sorted(strategies) for arg in ("--strategy", name)]
+    argv += ["--naive-cutoff", str(cutoff)] + (["--repetitions", "1"] if command == "bench" else [])
+    patch = mock.patch.dict(identity.EVALUATORS, {bad: off_by_one_at(identity.EVALUATORS[bad], bad_n)})
+
+    def measured(n):
+        return len(strategies) - ("naive" in strategies and n > cutoff)
+
+    if command == "verify" and measured(high) < 2:
+        return argv, patch, None
+    caught = in_range and bad.value in strategies and measured(bad_n) >= 2
+    caught = caught and not (bad is Strategy.NAIVE and bad_n > cutoff)
+    return argv, patch, not caught
+
+
+@settings(max_examples=15, deadline=None)
+@given(call=checked_calls())
+def test_exit_code_is_zero_exactly_when_all_passed(call):
+    argv, patch, expected = call
+    with patch:
+        result = CliRunner().invoke(main, argv)
+    if expected is None:
+        assert result.exit_code == 2
+        return
+    passed = json.loads(result.output)["all_passed"]
+    assert result.exit_code == (0 if passed else 1)
+    assert passed is expected
