@@ -5,7 +5,9 @@ measured ``duration_ns`` fields masked. The eval and table fixtures were
 recorded from the code before the prime-exponent binomial kernel and the
 divide-and-conquer decimal conversion replaced ``math.comb`` and
 ``str(int)``; the verify, steps and bench fixtures from the code before
-verify and bench shared one measure-and-compare path. A refactor or
+verify and bench shared one measure-and-compare path; the full-decimal,
+digest-threshold, threshold-crossing table and bench text fixtures from
+the code before every runner returned one report value. A refactor or
 optimisation that changes a single output byte fails here. The eval sizes
 straddle the kernel's crossover (``PRIME_KERNEL_CROSSOVER``); the check
 calls cover skipped naive rows, strategy and step subsets, and repetitions.
@@ -33,13 +35,13 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 CROSSOVER = 1500
 
 #: Check-style calls, each with the formats whose stdout is deterministic
-#: once durations are masked (``bench`` text prints its timings).
+#: once durations are masked.
 CHECK_CALLS: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...] = (
     (("verify", "--range", "0..12", "--naive-cutoff", "5"), ("json", "csv", "text")),
     (("verify", "--range", "2..3", "--strategy", "symmetrized", "--strategy", "closed-form"), ("json",)),
     (("steps", "--range", "1..6"), ("json", "csv", "text")),
     (("steps", "--range", "1..4", "--step", "L2_ABSORBED", "--step", "X_FINISH"), ("csv",)),
-    (("bench", "--n", "4", "--repetitions", "2", "--naive-cutoff", "3"), ("json", "csv")),
+    (("bench", "--n", "4", "--repetitions", "2", "--naive-cutoff", "3"), ("json", "csv", "text")),
     (("bench", "--range", "3..5", "--repetitions", "2", "--naive-cutoff", "4"), ("json",)),
 )
 
@@ -49,7 +51,14 @@ CALLS: tuple[tuple[str, ...], ...] = (
         for n in (0, 1, 2, 1000, CROSSOVER - 1, CROSSOVER, CROSSOVER + 1, 100_000)
         for fmt in ("json", "csv", "text")
     )
+    + tuple(
+        (*argv, "--format", fmt)
+        for argv in (("eval", "--n", "1000", "--full-decimal"), ("eval", "--n", "5", "--digest-threshold", "0"))
+        for fmt in ("json", "csv", "text")
+    )
     + (("table", "--range", "0..2050", "--format", "csv"),)
+    # S(n) passes 1000 digits, the default threshold, between n = 828 and 829
+    + tuple(("table", "--range", "827..830", "--format", fmt) for fmt in ("json", "text"))
     + tuple((*argv, "--format", fmt) for argv, formats in CHECK_CALLS for fmt in formats)
 )
 
@@ -62,6 +71,8 @@ def fixture_path(argv: tuple[str, ...]) -> Path:
 def mask_durations(report: str) -> str:
     """``report`` with every measured duration replaced by 0."""
     report = re.sub(r'"duration_ns": \d+', '"duration_ns": 0', report)
+    # bench text prints milliseconds in a fixed-width field: keep the width
+    report = re.sub(r"\d+\.\d{3}(?= ms\b)", lambda m: "0.000".rjust(len(m[0])), report)
     lines = report.split("\n")
     header = lines[0].split(",")
     if "duration_ns" in header:
