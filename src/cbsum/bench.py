@@ -3,9 +3,10 @@
 Timings are taken per (n, strategy, repetition) on the monotonic
 ``perf_counter_ns`` clock and cover evaluation only; digesting the result
 happens outside the timed section. The ``verify`` and ``bench`` commands
-both measure through :func:`run_benchmark` and cross-check every record's
-digest against the first one measured at the same n, so a benchmark run
-doubles as a correctness check: a digest mismatch must fail the run loudly.
+both measure through :func:`run_benchmark`, which compares every value,
+as an exact integer, with the first one measured at the same n, so a
+benchmark run doubles as a correctness check: a mismatch must fail the run
+loudly. The digest identifies the value in reports; it decides nothing.
 
 The NAIVE strategy costs (2n+1)^2 big-integer multiplies and is skipped
 above a cutoff (default n = 3000); skips produce an explicit marker record
@@ -28,7 +29,8 @@ class BenchRecord:
     """One timing measurement (or an explicit skip marker).
 
     For skip markers ``duration_ns`` is 0 and ``digest`` empty; for real
-    measurements ``duration_ns`` is strictly positive.
+    measurements ``duration_ns`` is strictly positive. ``equal`` says
+    whether the value equals the first value measured at this n.
     """
 
     n: int
@@ -37,6 +39,7 @@ class BenchRecord:
     duration_ns: int
     digest: str
     skipped: bool = False
+    equal: bool = True
 
 
 def timed_evaluation(strategy: Strategy, n: int) -> tuple[int, int]:
@@ -62,13 +65,18 @@ def run_benchmark(
     ordered = [s for s in Strategy if s in strategies]
     records: list[BenchRecord] = []
     for n in ns:
+        reference = None  # the first value measured at this n
         for strategy in ordered:
             if strategy is Strategy.NAIVE and n > naive_cutoff:
                 records.append(BenchRecord(n, strategy, 0, 0, "", skipped=True))
                 continue
             for rep in range(1, repetitions + 1):
                 value, elapsed = timed_evaluation(strategy, n)
-                records.append(BenchRecord(n, strategy, rep, elapsed, value_digest(value)))
+                if reference is None:
+                    reference = value
+                records.append(
+                    BenchRecord(n, strategy, rep, elapsed, value_digest(value), equal=value == reference)
+                )
     return records
 
 

@@ -3,10 +3,13 @@
 Exit codes follow the CI-friendly contract: 0 = all checks pass,
 1 = mathematical mismatch found, 2 = usage or configuration error,
 3 = internal error (an uncaught exception, traceback on stderr),
-130 = interrupted (Ctrl-C).
+130 = interrupted (Ctrl-C), 141 = stdout closed before the report was
+written (128 + SIGPIPE). ``main.main(argv, standalone_mode=False)``
+returns the code instead of exiting, and lets exceptions propagate.
 """
 from __future__ import annotations
 
+import os
 import sys
 from typing import Any
 
@@ -16,22 +19,8 @@ from . import __version__
 from .bench import DEFAULT_NAIVE_CUTOFF
 from .chain import CHAIN_COMPARISONS, StepId
 from .identity import Strategy
-from .report import (
-    CSV_COLUMNS,
-    DEFAULT_DIGEST_THRESHOLD,
-    OutputFormat,
-    RunConfig,
-    render_report,
-)
-from .runs import (
-    EVAL_CSV_COLUMNS,
-    TABLE_CSV_COLUMNS,
-    run_bench,
-    run_eval,
-    run_steps,
-    run_table,
-    run_verify,
-)
+from .report import DEFAULT_DIGEST_THRESHOLD, OutputFormat, RunConfig, render_report
+from .runs import run_bench, run_eval, run_steps, run_table, run_verify
 
 STRATEGY_NAMES = {s.value: s for s in Strategy}
 STEP_NAMES = {s.name: s for s in CHAIN_COMPARISONS}
@@ -59,14 +48,21 @@ def _pick_strategies(names: tuple[str, ...]) -> tuple[Strategy, ...]:
     return tuple(s for s in Strategy if not names or s.value in names)
 
 
-def _finish(config: RunConfig, runner, columns: tuple[str, ...] = CSV_COLUMNS) -> None:
+def _finish(config: RunConfig, runner) -> None:
     try:
         config.validate()
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    rows, all_passed, text = runner(config)
-    click.echo(render_report(config, rows, all_passed, text, csv_columns=columns), nl=False)
-    sys.exit(0 if all_passed else 1)
+    report = runner(config)
+    ctx = click.get_current_context()
+    try:
+        click.echo(render_report(report), nl=False)
+    except BrokenPipeError:
+        # the reader is gone; point stdout at devnull so that the final
+        # flush at exit does not fail again, and exit as SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        ctx.exit(141)
+    ctx.exit(0 if report.all_passed else 1)
 
 
 format_option = click.option(
@@ -113,38 +109,31 @@ strategy_option = click.option(
 )
 
 
-class _Interrupted(Exception):
-    """Ctrl-C, carried past click's own handler to :meth:`_Main.main`."""
-
-
 class _Main(click.Group):
-    """Exits 3 with the traceback on an uncaught exception, and 130 after
-    "Aborted!" on Ctrl-C, where click would exit 1 for both, the code of a
-    mathematical mismatch. With ``standalone_mode=False`` the exception
-    propagates, and Ctrl-C raises ``click.Abort``, as in click itself.
+    """Maps each outcome to its exit code in one place. Click's own errors
+    keep their code; Ctrl-C exits 130 after "Aborted!" and an uncaught
+    exception exits 3 with its traceback, where click would exit 1 for
+    both, the code of a mathematical mismatch. With ``standalone_mode=False``
+    the exit code is returned and exceptions propagate, as in click itself.
     """
 
-    def invoke(self, ctx: click.Context) -> Any:
-        try:
-            return super().invoke(ctx)
-        except (KeyboardInterrupt, click.Abort) as exc:
-            raise _Interrupted() from exc
-
     def main(self, *args: Any, standalone_mode: bool = True, **kwargs: Any) -> Any:
+        if not standalone_mode:
+            return super().main(*args, standalone_mode=False, **kwargs)
         try:
-            return super().main(*args, standalone_mode=standalone_mode, **kwargs)
-        except _Interrupted:
-            if not standalone_mode:
-                raise click.Abort()
-            click.echo("\nAborted!", err=True)
-            sys.exit(130)
+            code = super().main(*args, standalone_mode=False, **kwargs)
+        except click.ClickException as exc:
+            exc.show()
+            code = exc.exit_code
+        except click.Abort:
+            click.echo("Aborted!", err=True)
+            code = 130
         except Exception:
-            if not standalone_mode:
-                raise
             import traceback  # only a crash needs it
 
             traceback.print_exc()
-            sys.exit(3)
+            code = 3
+        sys.exit(code)
 
 
 @click.group(cls=_Main)
@@ -178,7 +167,7 @@ def eval_cmd(n, strategy, output_format, naive_cutoff, full_decimal, digest_thre
         full_decimal=full_decimal,
         digest_threshold=digest_threshold,
     )
-    _finish(config, run_eval, EVAL_CSV_COLUMNS)
+    _finish(config, run_eval)
 
 
 @main.command("verify")
@@ -294,7 +283,7 @@ def table_cmd(range_spec, strategy, output_format, naive_cutoff, full_decimal, d
         full_decimal=full_decimal,
         digest_threshold=digest_threshold,
     )
-    _finish(config, run_table, TABLE_CSV_COLUMNS)
+    _finish(config, run_table)
 
 
 if __name__ == "__main__":

@@ -1,7 +1,8 @@
 """Report shapes shared by all CLI commands.
 
-Every run produces a config dict, a list of result rows, and an
-``all_passed`` flag. The three output formats encode the same values:
+Every runner returns one :class:`Report`: the config, a list of result
+rows, the text lines and the CSV columns. ``all_passed`` is read off the
+rows. The three output formats encode the same values:
 
 * json -- ``{"config": {...}, "results": [...], "all_passed": bool}``
 * csv  -- one header plus one line per row; the check-style commands
@@ -127,38 +128,42 @@ def _cell(value: Any) -> str:
     return str(value)
 
 
-def render_csv(rows: Sequence[Mapping[str, Any]], columns: Sequence[str] = CSV_COLUMNS) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_cell(row.get(col)) for col in columns])
-    return buffer.getvalue()
+def rows_pass(rows: Sequence[Mapping[str, Any]]) -> bool:
+    """A run passes unless some row compared unequal; a skipped row and a
+    row that compares nothing (eval, table) do not fail it."""
+    return all(row.get("equal") is not False for row in rows)
 
 
-def render_json(
-    config: RunConfig, rows: Sequence[Mapping[str, Any]], all_passed: bool
-) -> str:
-    payload = {
-        "config": config.to_dict(),
-        "results": [dict(row) for row in rows],
-        "all_passed": all_passed,
-    }
-    return json.dumps(payload, indent=2) + "\n"
+@dataclass(frozen=True)
+class Report:
+    """What one command produced, ready to render in any output format."""
+
+    config: RunConfig
+    rows: Sequence[Mapping[str, Any]]
+    text: Sequence[str]
+    columns: Sequence[str] = CSV_COLUMNS
+
+    @property
+    def all_passed(self) -> bool:
+        return rows_pass(self.rows)
 
 
-def render_report(
-    config: RunConfig,
-    rows: Sequence[Mapping[str, Any]],
-    all_passed: bool,
-    text_lines: Sequence[str],
-    csv_columns: Sequence[str] = CSV_COLUMNS,
-) -> str:
-    if config.output_format is OutputFormat.JSON:
-        return render_json(config, rows, all_passed)
-    if config.output_format is OutputFormat.CSV:
-        return render_csv(rows, csv_columns)
-    return "\n".join(text_lines) + ("\n" if text_lines else "")
+def render_report(report: Report) -> str:
+    if report.config.output_format is OutputFormat.JSON:
+        payload = {
+            "config": report.config.to_dict(),
+            "results": [dict(row) for row in report.rows],
+            "all_passed": report.all_passed,
+        }
+        return json.dumps(payload, indent=2) + "\n"
+    if report.config.output_format is OutputFormat.CSV:
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(report.columns)
+        for row in report.rows:
+            writer.writerow([_cell(row.get(col)) for col in report.columns])
+        return buffer.getvalue()
+    return "\n".join(report.text) + ("\n" if report.text else "")
 
 
 def describe_value(value: int, config: RunConfig) -> dict[str, Any]:

@@ -1,10 +1,10 @@
-"""Command runners: turn a RunConfig into report rows.
+"""Command runners: turn a RunConfig into a :class:`~cbsum.report.Report`.
 
-Each runner returns ``(rows, all_passed, text_lines)``. Rows are the
-format-independent payload (see :mod:`cbsum.report`); text_lines are the
-human-readable rendering. Runs over an n-range may fan out across worker
-processes, results are merged back in input order, so reports are
-deterministic for a fixed config.
+Each runner returns one Report: its rows are the format-independent
+payload, its text lines the human-readable rendering, and its columns
+the CSV header. Whether the run passed is read off the rows. Runs over
+an n-range may fan out across worker processes, results are merged back
+in input order, so reports are deterministic for a fixed config.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from . import identity
 from .bench import BenchRecord, median_duration_ns, run_benchmark, timed_evaluation
 from .chain import verify_chain_timed
 from .digests import value_digest
-from .report import RunConfig, describe_value
+from .report import Report, RunConfig, describe_value, rows_pass
 
 Row = dict[str, Any]
 
@@ -51,9 +51,10 @@ def _check_rows(
     records: Sequence[BenchRecord],
     extra: Callable[[BenchRecord, BenchRecord | None], Row],
 ) -> list[Row]:
-    """One row per record, comparing its digest with the reference: the
-    first record measured at its n. The command's own keys come from
-    ``extra(record, reference)``."""
+    """One row per record, set beside the reference: the first record
+    measured at its n. Whether the values are equal comes from the record
+    (compared as integers); the digests are for display. The command's own
+    keys come from ``extra(record, reference)``."""
     refs: dict[int, BenchRecord] = {}
     for record in records:
         if not record.skipped:
@@ -68,7 +69,7 @@ def _check_rows(
                 "step_or_strategy": record.strategy.name,
                 "lhs_digest": record.digest,
                 "rhs_digest": ref.digest if measured else "",
-                "equal": record.digest == ref.digest if measured else "skipped",
+                "equal": record.equal if measured else "skipped",
                 "duration_ns": record.duration_ns if measured else None,
                 **extra(record, ref),
             }
@@ -78,24 +79,17 @@ def _check_rows(
 
 # --- eval -------------------------------------------------------------------
 
-def run_eval(config: RunConfig) -> tuple[list[Row], bool, list[str]]:
+def run_eval(config: RunConfig) -> Report:
     n = config.n_min
     strategy = config.strategies_enabled[0]
     value, elapsed = timed_evaluation(strategy, n)
     fields = describe_value(value, config)
-    row: Row = {
-        "n": n,
-        "strategy": strategy.name,
-        "value": fields["value"],
-        "digest": fields["digest"],
-        "digits": fields["digits"],
-        "duration_ns": elapsed,
-    }
+    row: Row = {"n": n, "strategy": strategy.name, **fields, "duration_ns": elapsed}
     if fields["value"] is not None:
         text = [fields["value"]]
     else:
         text = [f"sha256:{fields['digest']} digits={fields['digits']}"]
-    return [row], True, text
+    return Report(config, [row], text, EVAL_CSV_COLUMNS)
 
 
 # --- verify -----------------------------------------------------------------
@@ -104,7 +98,7 @@ def _verify_keys(record: BenchRecord, ref: BenchRecord | None) -> Row:
     return {"skipped": True} if record.skipped else {"reference": ref.strategy.name}
 
 
-def run_verify(config: RunConfig) -> tuple[list[Row], bool, list[str]]:
+def run_verify(config: RunConfig) -> Report:
     ns = list(range(config.n_min, config.n_max + 1))
     measure = partial(
         run_benchmark,
@@ -117,7 +111,6 @@ def run_verify(config: RunConfig) -> tuple[list[Row], bool, list[str]]:
         for records in _map_over(measure, [[n] for n in ns], config.parallelism)
     ]
     rows = [row for group in per_n for row in group]
-    all_passed = all(row["equal"] is not False for row in rows)
     text = []
     for n, group in zip(ns, per_n):
         measured = [r for r in group if r["equal"] != "skipped"]
@@ -135,14 +128,14 @@ def run_verify(config: RunConfig) -> tuple[list[Row], bool, list[str]]:
             text.append(f"n={n} ok ({len(measured)} strategies agree{note})")
     text.append(
         f"verify {config.n_min}..{config.n_max}: "
-        + ("all values agree" if all_passed else "MISMATCH FOUND")
+        + ("all values agree" if rows_pass(rows) else "MISMATCH FOUND")
     )
-    return rows, all_passed, text
+    return Report(config, rows, text)
 
 
 # --- steps ------------------------------------------------------------------
 
-def run_steps(config: RunConfig) -> tuple[list[Row], bool, list[str]]:
+def run_steps(config: RunConfig) -> Report:
     ns = list(range(config.n_min, config.n_max + 1))
     per_n = _map_over(verify_chain_timed, ns, config.parallelism)
     enabled = set(config.steps_enabled)
@@ -170,12 +163,11 @@ def run_steps(config: RunConfig) -> tuple[list[Row], bool, list[str]]:
             )
             mark = "ok" if report.equal else "MISMATCH"
             text.append(f"n={n} {report.step.name:<15} {mark}")
-    all_passed = all(row["equal"] for row in rows)
     text.append(
         f"steps {config.n_min}..{config.n_max}: "
-        + ("every step holds" if all_passed else "STEP MISMATCH FOUND")
+        + ("every step holds" if rows_pass(rows) else "STEP MISMATCH FOUND")
     )
-    return rows, all_passed, text
+    return Report(config, rows, text)
 
 
 # --- bench ------------------------------------------------------------------
@@ -184,12 +176,11 @@ def _bench_keys(record: BenchRecord, ref: BenchRecord | None) -> Row:
     return {"repetition": None if record.skipped else record.repetition, "skipped": record.skipped}
 
 
-def run_bench(config: RunConfig) -> tuple[list[Row], bool, list[str]]:
+def run_bench(config: RunConfig) -> Report:
     ns = range(config.n_min, config.n_max + 1)
     strategies = config.strategies_enabled
     records = run_benchmark(ns, strategies, config.repetitions, config.naive_cutoff)
     rows = _check_rows(records, _bench_keys)
-    all_passed = all(row["equal"] is not False for row in rows)
     text = []
     for record in records:
         if record.skipped:
@@ -207,26 +198,19 @@ def run_bench(config: RunConfig) -> tuple[list[Row], bool, list[str]]:
         if measured:
             median = median_duration_ns(records, strategy)
             text.append(f"median {strategy.name:<12} {median / 1e6:10.3f} ms")
-    text.append("digests consistent" if all_passed else "DIGEST MISMATCH")
-    return rows, all_passed, text
+    text.append("digests consistent" if rows_pass(rows) else "DIGEST MISMATCH")
+    return Report(config, rows, text)
 
 
 # --- table ------------------------------------------------------------------
 
-def run_table(config: RunConfig) -> tuple[list[Row], bool, list[str]]:
+def run_table(config: RunConfig) -> Report:
     strategy = config.strategies_enabled[0]
     rows: list[Row] = []
     text = [f"{'n':>8}  {'digits':>8}  value"]
     for n in range(config.n_min, config.n_max + 1):
         fields = describe_value(identity.EVALUATORS[strategy](n), config)
-        rows.append(
-            {
-                "n": n,
-                "value": fields["value"],
-                "digest": fields["digest"],
-                "digits": fields["digits"],
-            }
-        )
+        rows.append({"n": n, **fields})
         shown = fields["value"] if fields["value"] is not None else f"sha256:{_short(fields['digest'])}..."
         text.append(f"{n:>8}  {fields['digits']:>8}  {shown}")
-    return rows, True, text
+    return Report(config, rows, text, TABLE_CSV_COLUMNS)

@@ -4,6 +4,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -452,6 +455,57 @@ def test_interrupt_exits_130(runner, monkeypatch):
     assert "Traceback" not in result.stderr
     with pytest.raises(click.Abort):  # embedded callers see click's own Abort
         main.main(args=["eval", "--n", "2"], standalone_mode=False)
+
+
+class TestEmbedded:
+    """``main.main(argv, standalone_mode=False)`` returns the exit code."""
+
+    def test_pass_returns_0(self, capsys):
+        assert main.main(["eval", "--n", "2"], standalone_mode=False) == 0
+        assert capsys.readouterr().out == "288\n"
+
+    def test_mismatch_returns_1(self, monkeypatch, capsys):
+        monkeypatch.setitem(identity.EVALUATORS, Strategy.NAIVE, lambda n: 41)
+        assert main.main(["verify", "--range", "2..2"], standalone_mode=False) == 1
+        assert "MISMATCH" in capsys.readouterr().out
+
+    def test_usage_error_propagates(self):
+        with pytest.raises(click.UsageError, match="n must be >= 0"):
+            main.main(["eval", "--n", "-1"], standalone_mode=False)
+
+
+def test_equality_is_decided_on_integers_not_digests(runner, monkeypatch):
+    # two faults that hide each other from a digest comparison: naive is one
+    # too large, and the decimal text drops the last digit, where they differ
+    real_str = digests.decimal_str
+    monkeypatch.setattr(digests, "decimal_str", lambda value: real_str(value)[:-1])
+    monkeypatch.setitem(identity.EVALUATORS, Strategy.NAIVE, lambda n: identity.evaluate_naive(n) + 1)
+    verify = runner.invoke(main, ["verify", "--range", "2..4"])
+    assert verify.exit_code == 1, verify.output
+    assert "MISMATCH FOUND" in verify.output
+    bench = runner.invoke(main, ["bench", "--n", "3", "--repetitions", "1"])
+    assert bench.exit_code == 1, bench.output
+    assert "DIGEST MISMATCH" in bench.output
+
+
+@pytest.mark.parametrize("argv", [["eval", "--n", "2"], ["verify", "--range", "0..3"]])
+def test_closed_stdout_exits_141(argv):
+    src = Path(cbsum.__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the report is written
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "cbsum.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 141
+    assert result.stderr == b""
 
 
 class TestNaiveCutoffOnValueCommands:

@@ -32,10 +32,8 @@ PROBE = f"""
 import json, sys
 from cbsum.cli import main
 for argv in (["eval", "--n", "5", "--format", "json"], ["table", "--range", "0..3", "--format", "csv"]):
-    try:
-        main.main(argv, standalone_mode=False)
-    except SystemExit as exc:
-        assert exc.code == 0, (argv, exc.code)
+    code = main.main(argv, standalone_mode=False)
+    assert code == 0, (argv, code)
 print(json.dumps({{name: name in sys.modules for name in {DEFERRED + EAGER!r}}}))
 """
 
