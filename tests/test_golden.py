@@ -7,8 +7,10 @@ divide-and-conquer decimal conversion replaced ``math.comb`` and
 ``str(int)``; the verify, steps and bench fixtures from the code before
 verify and bench shared one measure-and-compare path; the full-decimal,
 digest-threshold, threshold-crossing table and bench text fixtures from
-the code before every runner returned one report value. A refactor or
-optimisation that changes a single output byte fails here. The eval sizes
+the code before every runner returned one report value; the crossover,
+one-row and reference-strategy table fixtures from the code before
+``table`` swept C(2n,n) across its range. A refactor or optimisation that
+changes a single output byte fails here. The eval sizes
 straddle the kernel's crossover (``PRIME_KERNEL_CROSSOVER``); the check
 calls cover skipped naive rows, strategy and step subsets, and repetitions.
 
@@ -59,6 +61,13 @@ CALLS: tuple[tuple[str, ...], ...] = (
     + (("table", "--range", "0..2050", "--format", "csv"),)
     # S(n) passes 1000 digits, the default threshold, between n = 828 and 829
     + tuple(("table", "--range", "827..830", "--format", fmt) for fmt in ("json", "text"))
+    # a table whose first row is already past the crossover, the one-row
+    # table, and the strategies that table evaluates row by row
+    + (
+        ("table", "--range", f"{CROSSOVER}..{CROSSOVER + 3}", "--digest-threshold", "0", "--format", "json"),
+        ("table", "--range", "0..0", "--format", "json"),
+    )
+    + tuple(("table", "--range", "0..12", "--strategy", s, "--format", "csv") for s in ("naive", "symmetrized"))
     + tuple((*argv, "--format", fmt) for argv, formats in CHECK_CALLS for fmt in formats)
 )
 
