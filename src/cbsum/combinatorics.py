@@ -10,8 +10,9 @@ which keeps every summation loop downstream free of boundary special cases.
 
 :func:`binomial` calls ``math.comb`` for small coefficients and multiplies
 out the coefficient's prime factorisation for large ones, where
-``math.comb`` is quadratic. :func:`pascal_row` builds a whole row at once
-for the sums that walk one.
+``math.comb`` is quadratic. :func:`central_binomials` sweeps C(2n, n)
+across a range of n from one :func:`binomial` call, and :func:`pascal_row`
+builds a whole row at once for the sums that walk one.
 """
 from __future__ import annotations
 
@@ -48,6 +49,25 @@ def binomial(m: int, k: int) -> int:
     if k < PRIME_KERNEL_CROSSOVER or 2 * k * k < PRIME_KERNEL_CROSSOVER * m:
         return math.comb(m, k)
     return _product(_prime_powers(m, k))
+
+
+def central_binomials(ns: range) -> Iterator[int]:
+    """C(2n, n) for each n of ``ns``, a step-1 range, in order.
+
+    Only the first coefficient comes from :func:`binomial`; each next one
+    follows from C(2n+2, n+1) = C(2n, n) * 2(2n+1) / (n+1), an exact
+    division, so a sweep costs one kernel call and then one small multiply
+    and one division per n.
+    """
+    if ns.step != 1:
+        raise ValueError(f"central_binomials: needs a step-1 range, got {ns!r}")
+    if not ns:
+        return
+    c = binomial(2 * ns.start, ns.start)
+    yield c
+    for n in ns[:-1]:
+        c = c * (4 * n + 2) // (n + 1)
+        yield c
 
 
 def _primes_upto(limit: int) -> Iterator[int]:

@@ -72,9 +72,14 @@ def evaluate_symmetrized(n: int) -> int:
     return 4 * total
 
 
-def evaluate_closed_form(n: int) -> int:
-    """Closed form 2 n^2 C(2n,n)^2."""
-    return 2 * n * n * binomial(2 * n, n) ** 2
+def evaluate_closed_form(n: int, central: int | None = None) -> int:
+    """Closed form 2 n^2 C(2n,n)^2.
+
+    ``central`` is C(2n,n) when the caller has already computed it.
+    """
+    if central is None:
+        central = binomial(2 * n, n)
+    return 2 * n * n * central**2
 
 
 EVALUATORS: Dict[Strategy, Callable[[int], int]] = {

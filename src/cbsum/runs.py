@@ -15,6 +15,7 @@ from typing import Any, Callable, Sequence
 from . import identity
 from .bench import BenchRecord, median_duration_ns, run_benchmark, timed_evaluation
 from .chain import verify_chain_timed
+from .combinatorics import central_binomials
 from .digests import value_digest
 from .report import Report, RunConfig, describe_value, rows_pass
 
@@ -206,10 +207,16 @@ def run_bench(config: RunConfig) -> Report:
 
 def run_table(config: RunConfig) -> Report:
     strategy = config.strategies_enabled[0]
+    ns = range(config.n_min, config.n_max + 1)
+    if strategy is identity.Strategy.CLOSED_FORM:
+        # consecutive n: step C(2n,n) along the range instead of one kernel call per row
+        values = map(identity.evaluate_closed_form, ns, central_binomials(ns))
+    else:
+        values = map(identity.EVALUATORS[strategy], ns)
     rows: list[Row] = []
     text = [f"{'n':>8}  {'digits':>8}  value"]
-    for n in range(config.n_min, config.n_max + 1):
-        fields = describe_value(identity.EVALUATORS[strategy](n), config)
+    for n, value in zip(ns, values):
+        fields = describe_value(value, config)
         rows.append({"n": n, **fields})
         shown = fields["value"] if fields["value"] is not None else f"sha256:{_short(fields['digest'])}..."
         text.append(f"{n:>8}  {fields['digits']:>8}  {shown}")

@@ -17,6 +17,12 @@ def brute_force_sum(n: int) -> int:
     return total
 
 
+def closed_form_by_comb(n: int) -> int:
+    """S(n) by its closed form 2 n^2 C(2n,n)^2, C(2n,n) from ``math.comb``:
+    for sizes out of reach of the brute-force sums."""
+    return 2 * n * n * comb(2 * n, n) ** 2
+
+
 def reflected_brute_force_sum(n: int) -> int:
     """S(n) over the reflected grid (i -> -i, j -> -j)."""
     total = 0

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -16,11 +17,12 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 import cbsum
-from cbsum import chain, digests, identity, report, runs
+from cbsum import chain, combinatorics, digests, identity, report, runs
 from cbsum.chain import CHAIN_COMPARISONS, StepId
 from cbsum.cli import main, parse_range
 from cbsum.identity import Strategy
 
+from oracle import closed_form_by_comb
 from test_golden import mask_durations
 
 
@@ -329,6 +331,45 @@ class TestTable:
         result = runner.invoke(main, ["table", "--range", "1..2"])
         assert result.exit_code == 0
         assert "digits" in result.output.splitlines()[0]
+
+    def test_sweep_across_kernel_crossover_matches_oracle(self, runner):
+        # the sweep starts below the prime kernel's crossover and runs past it
+        argv = ["table", "--range", "1490..1510", "--format", "json", "--digest-threshold", "0"]
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 0
+        rows = json.loads(result.output)["results"]
+        assert [row["n"] for row in rows] == list(range(1490, 1511))
+        for row in rows:
+            text = str(closed_form_by_comb(row["n"]))
+            assert row["value"] is None
+            assert row["digest"] == hashlib.sha256(text.encode()).hexdigest(), row["n"]
+            assert row["digits"] == len(text)
+
+
+@pytest.mark.parametrize(
+    "argv,calls",
+    [
+        # the measuring commands evaluate every n afresh: one kernel call per
+        # timed closed-form evaluation, nothing served from a cache
+        (["bench", "--n", "1600", "--strategy", "closed-form", "--repetitions", "3"], 3),
+        (["verify", "--range", "10..12", "--strategy", "symmetrized", "--strategy", "closed-form"], 3),
+        # table sweeps C(2n,n) from one kernel call across its range
+        (["table", "--range", "1500..1600"], 1),
+    ],
+)
+def test_binomial_calls_per_command(runner, monkeypatch, argv, calls):
+    made = []
+
+    def counting(m, k):
+        made.append((m, k))
+        return real(m, k)
+
+    real = combinatorics.binomial
+    for module in (combinatorics, identity):
+        monkeypatch.setattr(module, "binomial", counting)
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 0, result.output
+    assert len(made) == calls
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cbsum.combinatorics import PRIME_KERNEL_CROSSOVER, binomial, pascal_row
+from cbsum.combinatorics import PRIME_KERNEL_CROSSOVER, binomial, central_binomials, pascal_row
 from cbsum.digests import value_digest
 from cbsum.identity import EVALUATORS, Strategy, evaluate
 
@@ -85,6 +85,26 @@ class TestPrimeKernel:
 
     def test_central_coefficient_at_ten_to_the_fifth(self):
         assert binomial(200_000, 100_000) == math.comb(200_000, 100_000)
+
+
+class TestCentralBinomials:
+    """The sweep of C(2n, n) along a range, by ``math.comb``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(a=st.integers(0, 3000), length=st.integers(0, 40))
+    @example(a=0, length=25)
+    @example(a=1, length=25)
+    # from PRIME_KERNEL_CROSSOVER on, the first coefficient comes from the kernel
+    @example(a=PRIME_KERNEL_CROSSOVER - 1, length=25)
+    @example(a=PRIME_KERNEL_CROSSOVER, length=25)
+    @example(a=PRIME_KERNEL_CROSSOVER + 1, length=25)
+    def test_sweep_matches_math_comb(self, a, length):
+        ns = range(a, a + length)
+        assert list(central_binomials(ns)) == [math.comb(2 * n, n) for n in ns]
+
+    def test_step_other_than_one_rejected(self):
+        with pytest.raises(ValueError, match="step-1"):
+            list(central_binomials(range(0, 10, 2)))
 
 
 class TestPascalRow:
