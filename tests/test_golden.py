@@ -10,9 +10,9 @@ digest-threshold, threshold-crossing table and bench text fixtures from
 the code before every runner returned one report value; the crossover,
 one-row and reference-strategy table fixtures from the code before
 ``table`` swept C(2n,n) across its range. A refactor or optimisation that
-changes a single output byte fails here. The eval sizes
-straddle the kernel's crossover (``PRIME_KERNEL_CROSSOVER``); the check
-calls cover skipped naive rows, strategy and step subsets, and repetitions.
+changes a single output byte fails here. The eval sizes straddle the
+kernel's crossover (``PRIME_KERNEL_CROSSOVER``); the check calls cover
+skipped naive rows, strategy and step subsets, and repetitions.
 
 To record fixtures from the code at some commit, run from the repo root
 
