@@ -209,7 +209,6 @@ def run_table(config: RunConfig) -> Report:
     strategy = config.strategies_enabled[0]
     ns = range(config.n_min, config.n_max + 1)
     if strategy is identity.Strategy.CLOSED_FORM:
-        # consecutive n: step C(2n,n) along the range instead of one kernel call per row
         values = map(identity.evaluate_closed_form, ns, central_binomials(ns))
     else:
         values = map(identity.EVALUATORS[strategy], ns)

@@ -12,11 +12,12 @@ alike. It then runs one ``--trace 1`` pass per workload and checkout, on
 the first seed, for the per-layer figures. Each run's result is its last
 line of stdout; a traced run's line before it carries the layer coverage.
 
-``BENCH_<label>.json`` (written to ``--out``, by default the root of this
-checkout) holds, per workload and metric, the value of every run in seed
-order, its median, quartiles and run count, next to the seeds, the
-checkout's commit, the Python version, the CPU count and the load average
-before and after. The script changes nothing in the checkouts it measures
+Every run lasts ``run_seconds`` of ``BENCHMARK.json`` and every workload it
+lists is run, so that all snapshots are comparable. ``BENCH_<label>.json``,
+written to the root of this checkout, holds, per workload and metric, the
+value of every run in seed order, its median, quartiles and run count, next
+to the seeds, the checkout's commit, the Python version, the CPU count and
+the load average before and after. The script changes nothing in the checkouts it measures
 except perfbench's own ``.perfbench_out/`` records.
 """
 from __future__ import annotations
@@ -57,14 +58,11 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("sides", nargs="+", metavar="LABEL=CHECKOUT")
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
-    parser.add_argument("--workloads", nargs="+", help="default: every workload in BENCHMARK.json")
-    parser.add_argument("--seconds", type=float, help="default: run_seconds of BENCHMARK.json")
-    parser.add_argument("--out", type=Path, default=ROOT)
     args = parser.parse_args()
 
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = args.workloads or [w["name"] for w in benchmark["workloads"]]
-    seconds = args.seconds or benchmark["run_seconds"]
+    workloads = [w["name"] for w in benchmark["workloads"]]
+    seconds = benchmark["run_seconds"]
     sides: dict[str, Path] = {}
     for side in args.sides:
         label, sep, checkout = side.partition("=")
@@ -121,7 +119,7 @@ def main() -> int:
                 for workload, runs in results[label].items()
             },
         }
-        path = args.out / f"BENCH_{label}.json"
+        path = ROOT / f"BENCH_{label}.json"
         path.write_text(json.dumps(snapshot, indent=1) + "\n")
         print(path)
     return 0
