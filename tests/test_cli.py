@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -33,6 +34,17 @@ def runner():
 
 def rows_from_csv(output: str) -> list[dict]:
     return list(csv.DictReader(io.StringIO(output)))
+
+
+def assert_usage_error(argv: list[str], fragment: str, env: dict[str, str] | None = None) -> None:
+    """``argv`` exits 2 with ``fragment`` in its message, and raises
+    click.UsageError when the CLI is embedded."""
+    result = CliRunner().invoke(main, argv, env=env)
+    assert result.exit_code == 2, result.output
+    assert fragment in result.output
+    with mock.patch.dict(os.environ, env or {}):
+        with pytest.raises(click.UsageError, match=re.escape(fragment)):
+            main.main(argv, standalone_mode=False)
 
 
 class TestParseRange:
@@ -73,10 +85,8 @@ class TestEval:
         assert result.exit_code == 0
         assert result.output.strip() == expected
 
-    def test_invalid_size_is_usage_error(self, runner):
-        result = runner.invoke(main, ["eval", "--n", "-1"])
-        assert result.exit_code == 2
-        assert "n must be >= 0" in result.output
+    def test_invalid_size_is_usage_error(self):
+        assert_usage_error(["eval", "--n", "-1"], "n must be >= 0, got -1")
 
     def test_json_shape(self, runner):
         result = runner.invoke(main, ["eval", "--n", "3", "--format", "json"])
@@ -187,10 +197,8 @@ class TestVerify:
             ["verify", "--range", "3500..3500", "--strategy", "naive", "--strategy", "closed-form"],
         ],
     )
-    def test_fewer_than_two_measured_strategies_is_usage_error(self, runner, argv):
-        result = runner.invoke(main, argv)
-        assert result.exit_code == 2
-        assert "at least two" in result.output
+    def test_fewer_than_two_measured_strategies_is_usage_error(self, argv):
+        assert_usage_error(argv, "enable at least two")
 
     def test_strategy_order_is_canonical(self, runner):
         argv = ["verify", "--range", "0..2", "--format", "json"]
@@ -225,10 +233,8 @@ class TestSteps:
         assert len(rows) == 7
         assert all(r["equal"] == "true" for r in rows)
 
-    def test_zero_is_usage_error_naming_constraint(self, runner):
-        result = runner.invoke(main, ["steps", "--range", "0..5"])
-        assert result.exit_code == 2
-        assert "2n(2n-1)" in result.output
+    def test_zero_is_usage_error_naming_constraint(self):
+        assert_usage_error(["steps", "--range", "0..5"], "2n(2n-1)")
 
     def test_step_filter(self, runner):
         result = runner.invoke(
@@ -252,12 +258,9 @@ class TestBench:
         assert len(rows) == 9
         assert {r["equal"] for r in rows} == {"true"}
 
-    def test_requires_exactly_one_target(self, runner):
-        assert runner.invoke(main, ["bench"]).exit_code == 2
-        assert (
-            runner.invoke(main, ["bench", "--n", "3", "--range", "1..2"]).exit_code
-            == 2
-        )
+    def test_requires_exactly_one_target(self):
+        for argv in (["bench"], ["bench", "--n", "3", "--range", "1..2"]):
+            assert_usage_error(argv, "provide exactly one of --n or --range")
 
     def test_skip_marker_in_csv(self, runner):
         result = runner.invoke(
@@ -410,10 +413,27 @@ def test_digested_value_is_converted_once(runner, monkeypatch, argv, values):
         ["table", "--range", "0..2", "--digest-threshold", "-1"],
     ],
 )
-def test_negative_bound_is_usage_error(runner, argv):
-    result = runner.invoke(main, argv)
-    assert result.exit_code == 2
-    assert "must be >= 0, got -1" in result.output
+def test_negative_bound_is_usage_error(argv):
+    name = argv[-2].lstrip("-").replace("-", " ")
+    assert_usage_error(argv, f"{name} must be >= 0, got -1")
+
+
+@pytest.mark.parametrize(
+    "argv,fragment,env",
+    [
+        (["bench", "--n", "-1"], "n must be >= 0, got -1", None),
+        (["verify", "--range", "-1..2"], "bad range '-1..2': n must be >= 0", None),
+        (["table", "--range", "5..2"], "bad range '5..2': lower bound exceeds upper", None),
+        (["steps", "--range", "abc"], "bad range 'abc': expected N or A..B", None),
+        (["verify", "--range", "0..2", "--jobs", "0"], "parallelism must be >= 1, got 0", None),
+        (["steps", "--range", "1..2", "--jobs", "0"], "parallelism must be >= 1, got 0", None),
+        (["verify", "--range", "0..2"], "parallelism must be >= 1, got 0", {"CBSUM_JOBS": "0"}),
+        (["bench", "--n", "2", "--repetitions", "0"], "repetitions must be >= 1, got 0", None),
+    ],
+)
+def test_usage_error_exits_2_and_raises_when_embedded(argv, fragment, env):
+    # the other usage errors are inputs of the command tests above
+    assert_usage_error(argv, fragment, env)
 
 
 def test_internal_error_exits_3_with_traceback(runner, monkeypatch):
@@ -559,10 +579,8 @@ class TestNaiveCutoffOnValueCommands:
             ["eval", "--n", "20000", "--strategy", "naive"],
         ],
     )
-    def test_naive_above_cutoff_is_usage_error(self, runner, argv):
-        result = runner.invoke(main, argv)
-        assert result.exit_code == 2
-        assert "naive strategy runs only up to n = --naive-cutoff" in result.output
+    def test_naive_above_cutoff_is_usage_error(self, argv):
+        assert_usage_error(argv, "naive strategy runs only up to n = --naive-cutoff")
 
     def test_naive_up_to_cutoff_runs(self, runner):
         argv = ["table", "--range", "0..10", "--strategy", "naive", "--format", "csv"]
