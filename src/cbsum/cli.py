@@ -6,6 +6,15 @@ Exit codes follow the CI-friendly contract: 0 = all checks pass,
 130 = interrupted (Ctrl-C), 141 = stdout closed before the report was
 written (128 + SIGPIPE). ``main.main(argv, standalone_mode=False)``
 returns the code instead of exiting, and lets exceptions propagate.
+
+Every usage error is raised here, as a ``click.UsageError``. Bounds on
+one option sit on the option: ``--n`` and ``--range`` need n >= 0 (and a
+range ``A..B`` with A <= B), ``--naive-cutoff`` and ``--digest-threshold``
+>= 0, ``--jobs`` (``CBSUM_JOBS``) and ``--repetitions`` >= 1. Rules that
+tie options together sit in their command: ``steps`` needs n >= 1; ``eval``
+and ``table`` refuse the naive strategy above ``--naive-cutoff``; ``verify``
+needs two strategies measured at every n; ``bench`` takes
+exactly one of ``--n`` and ``--range``.
 """
 from __future__ import annotations
 
@@ -17,7 +26,7 @@ import click
 
 from . import __version__
 from .bench import DEFAULT_NAIVE_CUTOFF
-from .chain import CHAIN_COMPARISONS, StepId
+from .chain import CHAIN_COMPARISONS
 from .identity import Strategy
 from .report import DEFAULT_DIGEST_THRESHOLD, OutputFormat, RunConfig, render_report
 from .runs import run_bench, run_eval, run_steps, run_table, run_verify
@@ -43,18 +52,31 @@ def parse_range(spec: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _pick_strategies(names: tuple[str, ...]) -> tuple[Strategy, ...]:
-    """The named strategies (all when none are named), in canonical order."""
-    return tuple(s for s in Strategy if not names or s.value in names)
+def _at_least(low: int):
+    """Option callback: a value below ``low`` is a usage error."""
+
+    def check(ctx, param, value):
+        if value is not None and value < low:
+            raise click.UsageError(f"{param.name.replace('_', ' ')} must be >= {low}, got {value}")
+        return value
+
+    return check
 
 
-def _finish(config: RunConfig, runner) -> None:
-    try:
-        config.validate()
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    report = runner(config)
+def _choice_option(flag: str, field: str, by_name: dict[str, Any], **kwargs: Any):
+    """An option naming keys of ``by_name``; it delivers the named members
+    (all when none are named) as a tuple in canonical order."""
+
+    def pick(ctx, param, names):
+        names = (names,) if isinstance(names, str) else names
+        return tuple(m for name, m in by_name.items() if not names or name in names)
+
+    return click.option(flag, field, type=click.Choice(sorted(by_name)), callback=pick, **kwargs)
+
+
+def _finish(runner, n_min: int, n_max: int, **fields: Any) -> None:
     ctx = click.get_current_context()
+    report = runner(RunConfig(ctx.command.name, n_min, n_max, **fields))
     try:
         click.echo(render_report(report), nl=False)
     except BrokenPipeError:
@@ -65,20 +87,47 @@ def _finish(config: RunConfig, runner) -> None:
     ctx.exit(0 if report.all_passed else 1)
 
 
+def _refuse_naive_above_cutoff(
+    n_max: int, strategies: tuple[Strategy, ...], naive_cutoff: int
+) -> None:
+    if Strategy.NAIVE in strategies and n_max > naive_cutoff:
+        raise click.UsageError(
+            "the naive strategy runs only up to n = --naive-cutoff "
+            f"({naive_cutoff}), got n={n_max}; raise --naive-cutoff "
+            "to run it anyway"
+        )
+
+
+def _require_measured(
+    least: int, why: str, n_max: int, strategies: tuple[Strategy, ...], naive_cutoff: int
+) -> None:
+    # naive is skipped above the cutoff, so n_max measures the fewest
+    measured = len(strategies) - (Strategy.NAIVE in strategies and n_max > naive_cutoff)
+    if measured < least:
+        raise click.UsageError(
+            f"{why}, but at n={n_max} only {measured} would be measured; "
+            "enable at least two "
+            "(naive counts only up to --naive-cutoff)"
+        )
+
+
 format_option = click.option(
     "--format",
     "output_format",
     type=click.Choice([f.value for f in OutputFormat]),
     default=OutputFormat.TEXT.value,
     show_default=True,
+    callback=lambda ctx, param, value: OutputFormat(value),
     help="Report encoding.",
 )
 jobs_option = click.option(
     "--jobs",
+    "parallelism",
     type=int,
     default=1,
     envvar="CBSUM_JOBS",
     show_default=True,
+    callback=_at_least(1),
     help="Worker processes for per-n parallelism (env: CBSUM_JOBS).",
 )
 cutoff_option = click.option(
@@ -86,6 +135,7 @@ cutoff_option = click.option(
     type=int,
     default=DEFAULT_NAIVE_CUTOFF,
     show_default=True,
+    callback=_at_least(0),
     help="Largest n the naive strategy runs at: verify and bench skip it "
     "above, eval and table refuse to run.",
 )
@@ -99,13 +149,16 @@ digest_threshold_option = click.option(
     type=int,
     default=DEFAULT_DIGEST_THRESHOLD,
     show_default=True,
+    callback=_at_least(0),
     help="Digits above which values are reported as digest + digit count.",
 )
-strategy_option = click.option(
-    "--strategy",
-    type=click.Choice(sorted(STRATEGY_NAMES)),
-    default=Strategy.CLOSED_FORM.value,
+strategy_option = _choice_option(
+    "--strategy", "strategies_enabled", STRATEGY_NAMES, default=Strategy.CLOSED_FORM.value,
     show_default=True,
+)
+strategies_option = _choice_option(
+    "--strategy", "strategies_enabled", STRATEGY_NAMES, multiple=True,
+    help="Strategies to measure (default: all three).",
 )
 
 
@@ -147,120 +200,69 @@ def main() -> None:
 
 
 @main.command("eval")
-@click.option("--n", "n", type=int, required=True, help="Problem size n >= 0.")
+@click.option("--n", type=int, required=True, callback=_at_least(0), help="Problem size n >= 0.")
 @strategy_option
 @format_option
 @cutoff_option
 @full_decimal_option
 @digest_threshold_option
-def eval_cmd(n, strategy, output_format, naive_cutoff, full_decimal, digest_threshold) -> None:
+def eval_cmd(n: int, **fields: Any) -> None:
     """Print S(n) computed with one strategy."""
-    if n < 0:
-        raise click.UsageError(f"n must be >= 0, got {n}")
-    config = RunConfig(
-        command="eval",
-        n_min=n,
-        n_max=n,
-        strategies_enabled=(STRATEGY_NAMES[strategy],),
-        output_format=OutputFormat(output_format),
-        naive_cutoff=naive_cutoff,
-        full_decimal=full_decimal,
-        digest_threshold=digest_threshold,
-    )
-    _finish(config, run_eval)
+    _refuse_naive_above_cutoff(n, fields["strategies_enabled"], fields["naive_cutoff"])
+    _finish(run_eval, n_min=n, n_max=n, **fields)
 
 
 @main.command("verify")
 @click.option("--range", "range_spec", required=True, help="Range of n, e.g. 0..50.")
-@click.option(
-    "--strategy",
-    "strategies",
-    type=click.Choice(sorted(STRATEGY_NAMES)),
-    multiple=True,
-    help="Strategies to compare (default: all three).",
-)
+@strategies_option
 @format_option
 @jobs_option
 @cutoff_option
-def verify_cmd(range_spec, strategies, output_format, jobs, naive_cutoff) -> None:
+def verify_cmd(range_spec: str, **fields: Any) -> None:
     """Check that all strategies agree on S(n) across a range.
 
     Exits 1 as soon as any two strategies disagree anywhere in the range;
     the report pinpoints the n and the differing digests.
     """
     n_min, n_max = parse_range(range_spec)
-    config = RunConfig(
-        command="verify",
-        n_min=n_min,
-        n_max=n_max,
-        strategies_enabled=_pick_strategies(strategies),
-        output_format=OutputFormat(output_format),
-        parallelism=jobs,
-        naive_cutoff=naive_cutoff,
+    _require_measured(
+        2, "verify compares strategies", n_max, fields["strategies_enabled"], fields["naive_cutoff"]
     )
-    _finish(config, run_verify)
+    _finish(run_verify, n_min=n_min, n_max=n_max, **fields)
 
 
 @main.command("steps")
 @click.option("--range", "range_spec", required=True, help="Range of n, e.g. 1..20.")
-@click.option(
-    "--step",
-    "steps",
-    type=click.Choice(sorted(STEP_NAMES)),
-    multiple=True,
+@_choice_option(
+    "--step", "steps_enabled", STEP_NAMES, multiple=True,
     help="Restrict to specific chain comparisons (default: all seven).",
 )
 @format_option
 @jobs_option
-def steps_cmd(range_spec, steps, output_format, jobs) -> None:
+def steps_cmd(range_spec: str, **fields: Any) -> None:
     """Verify every line of the derivation chain across a range of n."""
     n_min, n_max = parse_range(range_spec)
-    enabled = (
-        tuple(s for s in CHAIN_COMPARISONS if s.name in steps)
-        if steps
-        else CHAIN_COMPARISONS
-    )
-    config = RunConfig(
-        command="steps",
-        n_min=n_min,
-        n_max=n_max,
-        steps_enabled=enabled,
-        output_format=OutputFormat(output_format),
-        parallelism=jobs,
-    )
-    _finish(config, run_steps)
+    if n_min < 1:
+        raise click.UsageError(
+            "chain steps need n >= 1: the derivation divides by 2n(2n-1), "
+            "which degenerates at n = 0"
+        )
+    _finish(run_steps, n_min=n_min, n_max=n_max, **fields)
 
 
 @main.command("bench")
-@click.option("--n", "n", type=int, default=None, help="Single problem size.")
+@click.option("--n", type=int, default=None, callback=_at_least(0), help="Single problem size.")
 @click.option("--range", "range_spec", default=None, help="Range of n, e.g. 10..20.")
-@click.option(
-    "--strategy",
-    "strategies",
-    type=click.Choice(sorted(STRATEGY_NAMES)),
-    multiple=True,
-    help="Strategies to time (default: all three).",
-)
-@click.option("--repetitions", type=int, default=5, show_default=True)
+@strategies_option
+@click.option("--repetitions", type=int, default=5, show_default=True, callback=_at_least(1))
 @format_option
 @cutoff_option
-def bench_cmd(n, range_spec, strategies, repetitions, output_format, naive_cutoff) -> None:
+def bench_cmd(n: int | None, range_spec: str | None, **fields: Any) -> None:
     """Time the strategies and cross-check their result digests."""
     if (n is None) == (range_spec is None):
         raise click.UsageError("provide exactly one of --n or --range")
     n_min, n_max = (n, n) if n is not None else parse_range(range_spec)
-    if n is not None and n < 0:
-        raise click.UsageError(f"n must be >= 0, got {n}")
-    config = RunConfig(
-        command="bench",
-        n_min=n_min,
-        n_max=n_max,
-        strategies_enabled=_pick_strategies(strategies),
-        output_format=OutputFormat(output_format),
-        repetitions=repetitions,
-        naive_cutoff=naive_cutoff,
-    )
-    _finish(config, run_bench)
+    _finish(run_bench, n_min=n_min, n_max=n_max, **fields)
 
 
 @main.command("table")
@@ -270,20 +272,11 @@ def bench_cmd(n, range_spec, strategies, repetitions, output_format, naive_cutof
 @cutoff_option
 @full_decimal_option
 @digest_threshold_option
-def table_cmd(range_spec, strategy, output_format, naive_cutoff, full_decimal, digest_threshold) -> None:
+def table_cmd(range_spec: str, **fields: Any) -> None:
     """Tabulate n, S(n) and its decimal digit count over a range."""
     n_min, n_max = parse_range(range_spec)
-    config = RunConfig(
-        command="table",
-        n_min=n_min,
-        n_max=n_max,
-        strategies_enabled=(STRATEGY_NAMES[strategy],),
-        output_format=OutputFormat(output_format),
-        naive_cutoff=naive_cutoff,
-        full_decimal=full_decimal,
-        digest_threshold=digest_threshold,
-    )
-    _finish(config, run_table)
+    _refuse_naive_above_cutoff(n_max, fields["strategies_enabled"], fields["naive_cutoff"])
+    _finish(run_table, n_min=n_min, n_max=n_max, **fields)
 
 
 if __name__ == "__main__":

@@ -1,6 +1,8 @@
 """Report shapes shared by all CLI commands.
 
-Every runner returns one :class:`Report`: the config, a list of result
+:class:`RunConfig` is a plain record of one run's settings; the CLI fills
+it and checks every input before building it. Every runner returns one
+:class:`Report`: the config, a list of result
 rows, the text lines and the CSV columns. ``all_passed`` is read off the
 rows. The three output formats encode the same values:
 
@@ -45,7 +47,8 @@ class OutputFormat(enum.Enum):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything that determines a run's output.
+    """Everything that determines a run's output: a record that the CLI
+    fills from its options and checks, not a validator.
 
     ``steps_enabled`` and ``strategies_enabled`` are kept in canonical
     order; reports must be byte-identical for equal configs no matter how
@@ -63,46 +66,6 @@ class RunConfig:
     naive_cutoff: int = DEFAULT_NAIVE_CUTOFF
     full_decimal: bool = False
     digest_threshold: int = DEFAULT_DIGEST_THRESHOLD
-
-    def validate(self) -> None:
-        if self.n_min < 0 or self.n_min > self.n_max:
-            raise ValueError(
-                f"need 0 <= n_min <= n_max, got {self.n_min}..{self.n_max}"
-            )
-        if self.command == "steps" and self.n_min < 1:
-            raise ValueError(
-                "chain steps need n >= 1: the derivation divides by 2n(2n-1), "
-                "which degenerates at n = 0"
-            )
-        if self.parallelism < 1:
-            raise ValueError(f"parallelism must be >= 1, got {self.parallelism}")
-        if self.repetitions < 1:
-            raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
-        if self.naive_cutoff < 0:
-            raise ValueError(f"naive cutoff must be >= 0, got {self.naive_cutoff}")
-        if self.digest_threshold < 0:
-            raise ValueError(f"digest threshold must be >= 0, got {self.digest_threshold}")
-        if (
-            self.command in ("eval", "table")
-            and Strategy.NAIVE in self.strategies_enabled
-            and self.n_max > self.naive_cutoff
-        ):
-            raise ValueError(
-                "the naive strategy runs only up to n = --naive-cutoff "
-                f"({self.naive_cutoff}), got n={self.n_max}; raise --naive-cutoff "
-                "to run it anyway"
-            )
-        if self.command == "verify":
-            # naive is skipped above the cutoff, so n_max measures the fewest
-            measured = len(self.strategies_enabled) - (
-                Strategy.NAIVE in self.strategies_enabled and self.n_max > self.naive_cutoff
-            )
-            if measured < 2:
-                raise ValueError(
-                    f"verify compares strategies, but at n={self.n_max} only "
-                    f"{measured} would be measured; enable at least two "
-                    "(naive counts only up to --naive-cutoff)"
-                )
 
     def to_dict(self) -> dict[str, Any]:
         return {
