@@ -13,7 +13,7 @@ range ``A..B`` with A <= B), ``--naive-cutoff`` and ``--digest-threshold``
 >= 0, ``--jobs`` (``CBSUM_JOBS``) and ``--repetitions`` >= 1. Rules that
 tie options together sit in their command: ``steps`` needs n >= 1; ``eval``
 and ``table`` refuse the naive strategy above ``--naive-cutoff``; ``verify``
-needs two strategies measured at every n; ``bench`` takes
+needs two strategies measured at every n, ``bench`` one; ``bench`` takes
 exactly one of ``--n`` and ``--range``.
 """
 from __future__ import annotations
@@ -106,7 +106,7 @@ def _require_measured(
     if measured < least:
         raise click.UsageError(
             f"{why}, but at n={n_max} only {measured} would be measured; "
-            "enable at least two "
+            f"enable at least {('one', 'two')[least - 1]} "
             "(naive counts only up to --naive-cutoff)"
         )
 
@@ -262,6 +262,9 @@ def bench_cmd(n: int | None, range_spec: str | None, **fields: Any) -> None:
     if (n is None) == (range_spec is None):
         raise click.UsageError("provide exactly one of --n or --range")
     n_min, n_max = (n, n) if n is not None else parse_range(range_spec)
+    _require_measured(
+        1, "bench times strategies", n_max, fields["strategies_enabled"], fields["naive_cutoff"]
+    )
     _finish(run_bench, n_min=n_min, n_max=n_max, **fields)
 
 

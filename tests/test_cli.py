@@ -429,6 +429,8 @@ def test_negative_bound_is_usage_error(argv):
         (["steps", "--range", "1..2", "--jobs", "0"], "parallelism must be >= 1, got 0", None),
         (["verify", "--range", "0..2"], "parallelism must be >= 1, got 0", {"CBSUM_JOBS": "0"}),
         (["bench", "--n", "2", "--repetitions", "0"], "repetitions must be >= 1, got 0", None),
+        # naive alone above its cutoff would measure nothing, yet pass
+        (["bench", "--n", "5", "--strategy", "naive", "--naive-cutoff", "2"], "enable at least one", None),
     ],
 )
 def test_usage_error_exits_2_and_raises_when_embedded(argv, fragment, env):
@@ -708,7 +710,7 @@ def checked_calls(draw):
     def measured(n):
         return len(strategies) - ("naive" in strategies and n > cutoff)
 
-    if command == "verify" and measured(high) < 2:
+    if measured(high) < (2 if command == "verify" else 1):
         return argv, patch, None
     caught = in_range and bad.value in strategies and measured(bad_n) >= 2
     caught = caught and not (bad is Strategy.NAIVE and bad_n > cutoff)
