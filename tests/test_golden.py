@@ -100,10 +100,26 @@ def replay(argv: tuple[str, ...]) -> str:
     return mask_durations(result.output)
 
 
+def first_difference(actual: str, expected: str) -> str:
+    """The line counts and the first line where ``actual`` departs from
+    ``expected``, each line cut to 200 characters."""
+    got, want = actual.split("\n"), expected.split("\n")
+    at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+    show = lambda lines: repr(lines[at][:200]) if at < len(lines) else "<end of output>"
+    return (
+        f"{len(got)} lines, expected {len(want)}; first difference at line {at + 1}:\n"
+        f"  got:      {show(got)}\n  expected: {show(want)}"
+    )
+
+
 @pytest.mark.parametrize("argv", CALLS, ids=lambda argv: fixture_path(argv).name)
 def test_output_matches_golden(argv):
     expected = fixture_path(argv).read_text(encoding="ascii")
-    assert replay(argv) == expected
+    actual = replay(argv)
+    # no assert on the two strings: pytest's diff of a large report
+    # (table_range_0..2050.csv is 565 KB) takes minutes to print
+    if actual != expected:
+        pytest.fail(first_difference(actual, expected), pytrace=False)
 
 
 if __name__ == "__main__":
