@@ -7,6 +7,8 @@ both measure through :func:`run_benchmark`, which compares every value,
 as an exact integer, with the first one measured at the same n, so a
 benchmark run doubles as a correctness check: a mismatch must fail the run
 loudly. The digest identifies the value in reports; it decides nothing.
+A value equal to that first one takes its digest, so each distinct value
+is converted to decimal once.
 
 The NAIVE strategy costs (2n+1)^2 big-integer multiplies and is skipped
 above a cutoff (default n = 3000); skips produce an explicit marker record
@@ -65,7 +67,7 @@ def run_benchmark(
     ordered = [s for s in Strategy if s in strategies]
     records: list[BenchRecord] = []
     for n in ns:
-        reference = None  # the first value measured at this n
+        reference = reference_digest = None  # the first value measured at this n
         for strategy in ordered:
             if strategy is Strategy.NAIVE and n > naive_cutoff:
                 records.append(BenchRecord(n, strategy, 0, 0, "", skipped=True))
@@ -73,10 +75,10 @@ def run_benchmark(
             for rep in range(1, repetitions + 1):
                 value, elapsed = timed_evaluation(strategy, n)
                 if reference is None:
-                    reference = value
-                records.append(
-                    BenchRecord(n, strategy, rep, elapsed, value_digest(value), equal=value == reference)
-                )
+                    reference, reference_digest = value, value_digest(value)
+                equal = value == reference
+                digest = reference_digest if equal else value_digest(value)
+                records.append(BenchRecord(n, strategy, rep, elapsed, digest, equal=equal))
     return records
 
 

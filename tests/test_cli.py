@@ -385,6 +385,8 @@ def test_binomial_calls_per_command(runner, monkeypatch, argv, calls):
         # the 14 digests of one n's seven steps cover 3 distinct values:
         # S, L6 and 4(2n-1) L6
         (["steps", "--range", "5..5", "--format", "json"], 3),
+        # three strategies agree at each of three n
+        (["verify", "--range", "10..12", "--format", "csv"], 3),
     ],
 )
 def test_digested_value_is_converted_once(runner, monkeypatch, argv, values):
