@@ -6,38 +6,52 @@ representation plus a digit count instead of printing them in full.
 """
 from __future__ import annotations
 
-import decimal
 import hashlib
+import sys
 
-#: Widest piece, in bits, that :func:`decimal_str` converts with one
+#: Widest value, in bits, that :func:`decimal_str` hands to ``str(int)``
+#: when the digit limit allows. ``str`` took 0.6-0.86 of the divide and
+#: conquer's time from 8e3 to 3.2e4 bits, and 1.2-1.9 times its time from
+#: 2**15 bits (about 9.9e3 digits) to 1e5 bits (2-vCPU x86-64 VM,
+#: CPython 3.11).
+_STR_MAX_BITS = (1 << 15) - 1
+
+#: Widest piece, in bits, that the divide and conquer converts with one
 #: ``Decimal(int)``; wider ones are split. Of widths from 64 to 2048 bits,
-#: 512 measured fastest on 2.4e3-digit values and within 2% of the best on
-#: 1.4e5-digit ones (2-vCPU x86-64 VM, CPython 3.11).
+#: 512 measured within 2% of the best on 1.4e5-digit values (2-vCPU x86-64
+#: VM, CPython 3.11).
 _LEAF_BITS = 512
+
+# Python 3.10 before 3.10.7 has no int-to-str digit limit.
+_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
 def decimal_str(value: int) -> str:
     """Decimal representation of ``value``, regardless of its size.
 
-    ``str(int)`` takes time quadratic in the digit count, and it refuses
-    values longer than ``sys.get_int_max_str_digits()``. This converts by
-    divide and conquer instead, the method of CPython 3.12's
-    ``Lib/_pylong.py``: split the int at a power of two, convert both
-    halves, and recombine them as hi * 2**w + lo in exact decimal
-    (libmpdec) arithmetic, whose multiplication is subquadratic. It never
-    calls ``str(int)``, so it works under any digit limit and leaves the
-    interpreter's setting alone.
+    Up to ``_STR_MAX_BITS`` bits this is ``str(value)``, if its digit
+    count, bounded from the bit length, is within
+    ``sys.get_int_max_str_digits()`` (0: no limit). Above that ``str``
+    takes time quadratic in the digit count, and it refuses values longer
+    than the limit, so wider values are converted by divide and conquer
+    instead, the method of CPython 3.12's ``Lib/_pylong.py``: split the int
+    at a power of two, convert both halves, and recombine them as
+    hi * 2**w + lo in exact decimal (libmpdec) arithmetic, whose
+    multiplication is subquadratic. Either way the text is the same, and
+    the interpreter's limit is read, never changed.
     """
-    with decimal.localcontext() as ctx:
-        ctx.prec = decimal.MAX_PREC
-        ctx.Emax = decimal.MAX_EMAX
-        ctx.traps[decimal.Inexact] = True
-        exact = _to_decimal(abs(value))
-        return format(-exact if value < 0 else exact, "f")
+    bits = value.bit_length()
+    limit = _digit_limit()
+    # bits * 0.30103 >= bits * log10(2), so this bounds the digit count
+    if bits <= _STR_MAX_BITS and (limit == 0 or bits * 30103 // 100000 + 1 <= limit):
+        return str(value)
+    return _divide_and_conquer(value)
 
 
-def _to_decimal(value: int) -> decimal.Decimal:
-    """``value`` >= 0 as an exact Decimal; needs an unbounded context."""
+def _divide_and_conquer(value: int) -> str:
+    """``decimal_str`` by splitting at powers of two; never calls ``str(int)``."""
+    import decimal  # only values past the switch load it
+
     powers: dict[int, decimal.Decimal] = {}  # 2**w per split width w
 
     def power_of_two(w: int) -> decimal.Decimal:
@@ -57,7 +71,12 @@ def _to_decimal(value: int) -> decimal.Decimal:
         hi = x >> w
         return convert(hi, width - w) * power_of_two(w) + convert(x - (hi << w), w)
 
-    return convert(value, value.bit_length())
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.traps[decimal.Inexact] = True
+        exact = convert(abs(value), value.bit_length())
+        return format(-exact if value < 0 else exact, "f")
 
 
 def decimal_digits(value: int) -> int:

@@ -1,4 +1,9 @@
-"""Tests for decimal conversion and digests, with ``str(int)`` as the yardstick."""
+"""Tests for decimal conversion and digests, with ``str(int)`` as the yardstick.
+
+``decimal_str`` hands short values to ``str`` itself, so the divide and
+conquer is also checked on its own, and the switch between the two is
+checked at its edges and under the interpreter's digit limit.
+"""
 from __future__ import annotations
 
 import contextlib
@@ -8,7 +13,8 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cbsum.digests import _LEAF_BITS, decimal_digits, decimal_str, value_digest
+from cbsum import digests
+from cbsum.digests import _LEAF_BITS, _STR_MAX_BITS, decimal_digits, decimal_str, value_digest
 from cbsum.report import RunConfig, describe_value
 
 HAS_LIMIT = hasattr(sys, "get_int_max_str_digits")
@@ -46,16 +52,53 @@ values = st.tuples(st.one_of(powers_of_two, powers_of_ten, any_size), st.boolean
 )
 
 
+def edges(test):
+    """The explicit edge examples: zero, signs, leaf and split widths."""
+    for value in (0, -1, (1 << _LEAF_BITS) - 1, (1 << _LEAF_BITS) + 1, -(1 << (4 * _LEAF_BITS)) + 1):
+        test = example(value=value)(test)
+    return test
+
+
+def of_bits(bits: int) -> int:
+    """A value of exactly ``bits`` bits whose digits are not all alike."""
+    return (1 << (bits - 1)) | (3**bits & ((1 << (bits - 1)) - 1))
+
+
+@pytest.fixture
+def divide_and_conquer_calls(monkeypatch):
+    """Values that ``decimal_str`` hands to the divide and conquer."""
+    calls = []
+    real = digests._divide_and_conquer
+
+    def counting(value):
+        calls.append(value)
+        return real(value)
+
+    monkeypatch.setattr(digests, "_divide_and_conquer", counting)
+    return calls
+
+
 class TestDecimalStr:
     @settings(max_examples=300, deadline=None)
     @given(value=values)
-    @example(value=0)
-    @example(value=-1)
-    @example(value=(1 << _LEAF_BITS) - 1)
-    @example(value=(1 << _LEAF_BITS) + 1)
-    @example(value=-(1 << (4 * _LEAF_BITS)) + 1)
+    @edges
     def test_matches_str(self, value):
         assert decimal_str(value) == reference_str(value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(value=values)
+    @edges
+    def test_divide_and_conquer_matches_str(self, value):
+        assert digests._divide_and_conquer(value) == reference_str(value)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("bits", [_STR_MAX_BITS - 1, _STR_MAX_BITS, _STR_MAX_BITS + 1])
+    def test_switch_edges_match_str(self, bits, sign):
+        value = sign * of_bits(bits)
+        assert value.bit_length() == bits
+        assert decimal_str(value) == reference_str(value)
+        with int_max_str_digits(0):
+            assert decimal_str(value) == reference_str(value)
 
     def test_digit_count_matches_conversion(self):
         for value in (0, 9, 10, 10**700 - 1, 10**700, 3**5000):
@@ -89,3 +132,26 @@ class TestInterpreterLimit:
             assert sys.get_int_max_str_digits() == 640
         assert text == expected
         assert digest == hashlib.sha256(expected.encode("ascii")).hexdigest()
+
+    @pytest.mark.parametrize("value", [10**640, -(10**1000), 3**2000, 10**4300 - 1, -(3**9000)])
+    def test_value_past_minimum_limit_converts(self, value, divide_and_conquer_calls):
+        # 641 to 4300 digits: within the switch, but too long for str under
+        # the minimum limit
+        expected = reference_str(value)
+        with int_max_str_digits(640):
+            assert decimal_str(value) == expected
+            assert sys.get_int_max_str_digits() == 640
+        assert divide_and_conquer_calls == [value]
+
+    def test_value_within_limit_goes_to_str(self, divide_and_conquer_calls):
+        with int_max_str_digits(640):
+            assert decimal_str(10**638) == reference_str(10**638)
+        assert divide_and_conquer_calls == []
+
+    def test_path_follows_switch_without_limit(self, divide_and_conquer_calls):
+        below, at, above = (of_bits(b) for b in (_STR_MAX_BITS - 1, _STR_MAX_BITS, _STR_MAX_BITS + 1))
+        with int_max_str_digits(0):
+            for value in (below, at, above, self.VALUE):
+                assert decimal_str(value) == reference_str(value)
+        # above the switch str would be quadratic, so no limit is no reason to use it
+        assert divide_and_conquer_calls == [above, self.VALUE]

@@ -2,7 +2,8 @@
 
 Every ``cbsum`` call is a fresh interpreter, so each standard-library
 module imported at start-up costs every call. The process pool, the
-median and the traceback printer are imported where they are used.
+median, the traceback printer and ``decimal`` (for values too long for
+``str(int)``) are imported where they are used.
 cbsum's own modules are not deferred: tracers look them up in
 ``sys.modules`` right after ``import cbsum.cli``.
 """
@@ -18,7 +19,7 @@ import cbsum
 
 SRC = Path(cbsum.__file__).resolve().parent.parent
 
-DEFERRED = ("multiprocessing", "concurrent.futures", "statistics", "traceback")
+DEFERRED = ("multiprocessing", "concurrent.futures", "statistics", "traceback", "decimal")
 EAGER = (
     "cbsum.runs",
     "cbsum.identity",
