@@ -29,14 +29,14 @@ _digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 def decimal_str(value: int) -> str:
     """Decimal representation of ``value``, regardless of its size.
 
-    Up to ``_STR_MAX_BITS`` bits this is ``str(value)``, if its digit
-    count, bounded from the bit length, is within
-    ``sys.get_int_max_str_digits()`` (0: no limit). Above that ``str``
-    takes time quadratic in the digit count, and it refuses values longer
-    than the limit, so wider values are converted by divide and conquer
-    instead, the method of CPython 3.12's ``Lib/_pylong.py``: split the int
-    at a power of two, convert both halves, and recombine them as
-    hi * 2**w + lo in exact decimal (libmpdec) arithmetic, whose
+    ``str(int)`` takes time quadratic in the digit count, and it refuses
+    values longer than ``sys.get_int_max_str_digits()`` (0: no limit).
+    It is still the faster up to ``_STR_MAX_BITS`` bits, so a value that
+    short is converted by ``str`` if its digit count, bounded from the
+    bit length, is within the limit. Any other value is converted by
+    divide and conquer, the method of CPython 3.12's ``Lib/_pylong.py``:
+    split the int at a power of two, convert both halves, and recombine
+    them as hi * 2**w + lo in exact decimal (libmpdec) arithmetic, whose
     multiplication is subquadratic. Either way the text is the same, and
     the interpreter's limit is read, never changed.
     """
@@ -50,7 +50,7 @@ def decimal_str(value: int) -> str:
 
 def _divide_and_conquer(value: int) -> str:
     """``decimal_str`` by splitting at powers of two; never calls ``str(int)``."""
-    import decimal  # only values past the switch load it
+    import decimal  # loaded only when the divide and conquer runs
 
     powers: dict[int, decimal.Decimal] = {}  # 2**w per split width w
 

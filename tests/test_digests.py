@@ -93,12 +93,12 @@ class TestDecimalStr:
 
     @pytest.mark.parametrize("sign", [1, -1])
     @pytest.mark.parametrize("bits", [_STR_MAX_BITS - 1, _STR_MAX_BITS, _STR_MAX_BITS + 1])
-    def test_switch_edges_match_str(self, bits, sign):
+    def test_switch_edges_match_str(self, bits, sign, divide_and_conquer_calls):
         value = sign * of_bits(bits)
         assert value.bit_length() == bits
-        assert decimal_str(value) == reference_str(value)
         with int_max_str_digits(0):
             assert decimal_str(value) == reference_str(value)
+        assert divide_and_conquer_calls == ([value] if bits > _STR_MAX_BITS else [])
 
     def test_digit_count_matches_conversion(self):
         for value in (0, 9, 10, 10**700 - 1, 10**700, 3**5000):
@@ -148,10 +148,8 @@ class TestInterpreterLimit:
             assert decimal_str(10**638) == reference_str(10**638)
         assert divide_and_conquer_calls == []
 
-    def test_path_follows_switch_without_limit(self, divide_and_conquer_calls):
-        below, at, above = (of_bits(b) for b in (_STR_MAX_BITS - 1, _STR_MAX_BITS, _STR_MAX_BITS + 1))
+    def test_no_limit_keeps_divide_and_conquer_above_switch(self, divide_and_conquer_calls):
+        # str would be quadratic here: lifting the limit is no reason to use it
         with int_max_str_digits(0):
-            for value in (below, at, above, self.VALUE):
-                assert decimal_str(value) == reference_str(value)
-        # above the switch str would be quadratic, so no limit is no reason to use it
-        assert divide_and_conquer_calls == [above, self.VALUE]
+            assert decimal_str(self.VALUE) == reference_str(self.VALUE)
+        assert divide_and_conquer_calls == [self.VALUE]
