@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -391,7 +392,8 @@ def test_binomial_calls_per_command(runner, monkeypatch, argv, calls):
 )
 def test_digested_value_is_converted_once(runner, monkeypatch, argv, values):
     # a value's decimal text feeds its digest and, at or below the digest
-    # threshold, the printed value: it must be produced once per value
+    # threshold, the printed value: it must be produced once per value, and
+    # once more by the next call in the same process, which reuses nothing
     converted = []
 
     def counting(value):
@@ -401,9 +403,33 @@ def test_digested_value_is_converted_once(runner, monkeypatch, argv, values):
     real = digests.decimal_str
     monkeypatch.setattr(digests, "decimal_str", counting)
     monkeypatch.setattr(report, "decimal_str", counting)
-    result = runner.invoke(main, argv)
-    assert result.exit_code == 0
-    assert len(converted) == len(set(converted)) == values
+    for _ in range(2):
+        converted.clear()
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 0
+        assert len(converted) == len(set(converted)) == values
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--n", "3"],
+        ["verify", "--range", "2..4", "--naive-cutoff", "3"],
+        ["steps", "--range", "1..3"],
+        ["bench", "--n", "4", "--repetitions", "2", "--naive-cutoff", "3"],
+    ],
+)
+def test_stopped_clock_reads_1_ns(runner, monkeypatch, argv):
+    # every duration is measured on one clock with one floor: a clock that
+    # does not move gives each measured row 1 ns, and a skipped row none
+    monkeypatch.setattr(time, "perf_counter_ns", lambda: 10**9)
+    result = runner.invoke(main, argv + ["--format", "json"])
+    assert result.exit_code == 0, result.output
+    rows = json.loads(result.output)["results"]
+    skipped = [row for row in rows if row.get("equal") == "skipped"]
+    assert len(skipped) == (argv[0] in ("verify", "bench"))
+    for row in rows:
+        assert row["duration_ns"] == (None if row in skipped else 1), row
 
 
 @pytest.mark.parametrize(
