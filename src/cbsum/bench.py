@@ -1,24 +1,27 @@
 """Wall-clock measurement of the evaluation strategies.
 
-Timings are taken per (n, strategy, repetition) on the monotonic
-``perf_counter_ns`` clock and cover evaluation only; digesting the result
-happens outside the timed section. The ``verify`` and ``bench`` commands
-both measure through :func:`run_benchmark`, which compares every value,
-as an exact integer, with the first one measured at the same n, so a
-benchmark run doubles as a correctness check: a mismatch must fail the run
-loudly. The digest identifies the value in reports; it decides nothing.
-A value equal to that first one takes its digest, so each distinct value
-is converted to decimal once.
+Three decisions every command shares are made here, once. :func:`timed`
+is the one clock: ``perf_counter_ns`` around a call, floored at 1 ns.
+:func:`skipped` is the one cutoff rule: NAIVE costs (2n+1)^2 big-integer
+multiplies and is skipped above a cutoff (default n = 3000). And the
+value digests of one n go through a ``functools.cache`` of
+``value_digest`` made for that n, so each distinct value is converted to
+decimal once.
 
-The NAIVE strategy costs (2n+1)^2 big-integer multiplies and is skipped
-above a cutoff (default n = 3000); skips produce an explicit marker record
-rather than silently vanishing from the report.
+The ``verify`` and ``bench`` commands both measure through
+:func:`run_benchmark`. Timings are taken per (n, strategy, repetition) and
+cover evaluation only. Every value is compared, as an exact integer, with
+the first one measured at the same n, so a benchmark run doubles as a
+correctness check: a mismatch must fail the run loudly. The digest
+identifies the value in reports; it decides nothing. Skips produce an
+explicit marker record rather than silently vanishing from the report.
 """
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .digests import value_digest
 from .identity import EVALUATORS, Strategy
@@ -44,12 +47,16 @@ class BenchRecord:
     equal: bool = True
 
 
-def timed_evaluation(strategy: Strategy, n: int) -> tuple[int, int]:
-    """S(n) by ``strategy``, with the evaluation's duration in nanoseconds."""
-    evaluator = EVALUATORS[strategy]
+def timed(fn: Callable[..., Any], *args: Any) -> tuple[Any, int]:
+    """``fn(*args)``, with the call's duration in nanoseconds (at least 1)."""
     start = time.perf_counter_ns()
-    value = evaluator(n)
-    return value, max(1, time.perf_counter_ns() - start)
+    result = fn(*args)
+    return result, max(1, time.perf_counter_ns() - start)
+
+
+def skipped(strategy: Strategy, n: int, naive_cutoff: int) -> bool:
+    """Whether ``strategy`` is left out at ``n``: naive runs only up to the cutoff."""
+    return strategy is Strategy.NAIVE and n > naive_cutoff
 
 
 def run_benchmark(
@@ -67,18 +74,19 @@ def run_benchmark(
     ordered = [s for s in Strategy if s in strategies]
     records: list[BenchRecord] = []
     for n in ns:
-        reference = reference_digest = None  # the first value measured at this n
+        digest = functools.cache(value_digest)
+        reference = None  # the first value measured at this n
         for strategy in ordered:
-            if strategy is Strategy.NAIVE and n > naive_cutoff:
+            if skipped(strategy, n, naive_cutoff):
                 records.append(BenchRecord(n, strategy, 0, 0, "", skipped=True))
                 continue
             for rep in range(1, repetitions + 1):
-                value, elapsed = timed_evaluation(strategy, n)
+                value, elapsed = timed(EVALUATORS[strategy], n)
                 if reference is None:
-                    reference, reference_digest = value, value_digest(value)
-                equal = value == reference
-                digest = reference_digest if equal else value_digest(value)
-                records.append(BenchRecord(n, strategy, rep, elapsed, digest, equal=equal))
+                    reference = value
+                records.append(
+                    BenchRecord(n, strategy, rep, elapsed, digest(value), equal=value == reference)
+                )
     return records
 
 

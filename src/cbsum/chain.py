@@ -37,9 +37,9 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
-import time
 from dataclasses import dataclass
 
+from .bench import timed
 from .combinatorics import binomial, pascal_row
 from .identity import evaluate_naive, evaluate_symmetrized
 
@@ -317,56 +317,32 @@ def alternative_finish(n: int, telescoped: int | None = None) -> AlternativeFini
 def verify_chain_timed(n: int) -> list[tuple[StepReport, int]]:
     """Run all seven chain comparisons at ``n``, timing each.
 
-    The attached duration (nanoseconds) is the incremental cost of the
-    quantities each comparison introduces, so the first entry carries the
-    full-grid L0 evaluation. A false flag is a result, never an exception.
+    The attached duration (nanoseconds, from :func:`cbsum.bench.timed`) is
+    the time taken to evaluate the quantities each comparison introduces,
+    so the first entry covers both reference sums, L0 and L1. A false flag
+    is a result, never an exception.
     """
     _require_positive(n, "verify_chain")
-    clock = time.perf_counter_ns
-    out: list[tuple[StepReport, int]] = []
-
-    def emit(report: StepReport, started: int) -> None:
-        out.append((report, max(1, clock() - started)))
-
-    t = clock()
-    l0 = evaluate_naive(n)
-    l1 = evaluate_symmetrized(n)
-    emit(StepReport.compare(n, StepId.L1_SYMMETRIZED, l0, l1), t)
-
-    t = clock()
-    l2 = absorbed_form(n)
-    scale = 4 * (2 * n) * (2 * n - 1)
-    emit(StepReport.compare(n, StepId.L2_ABSORBED, l1, scale * l2), t)
-
-    t = clock()
-    l3 = folded_form(n)
-    emit(StepReport.compare(n, StepId.L3_FOLDED, l2, l3), t)
-
-    t = clock()
-    l5 = cancelled_form(n)
-    emit(StepReport.compare(n, StepId.L5_CANCELLED, l3, l5), t)
-
-    t = clock()
-    l6 = telescoped_form(n)
-    emit(StepReport.compare(n, StepId.L6_TELESCOPED, l5, l6), t)
-
-    t = clock()
-    closed_lhs, closed_rhs = closure_sides(n, telescoped=l6)
-    emit(StepReport.compare(n, StepId.L7_CLOSED, closed_lhs, closed_rhs), t)
-
-    t = clock()
-    finish = alternative_finish(n, telescoped=l6)
-    report = StepReport(
-        n=n,
-        step=StepId.X_FINISH,
-        lhs=l6,
-        rhs=finish.expression,
-        equal=l6 == finish.expression and finish.all_equal,
-    )
-    emit(report, t)
+    (l0, l1), l1_ns = timed(lambda: (evaluate_naive(n), evaluate_symmetrized(n)))
+    l2, l2_ns = timed(absorbed_form, n)
+    l3, l3_ns = timed(folded_form, n)
+    l5, l5_ns = timed(cancelled_form, n)
+    l6, l6_ns = timed(telescoped_form, n)
+    (closed_lhs, closed_rhs), l7_ns = timed(closure_sides, n, l6)
+    finish, x_ns = timed(alternative_finish, n, l6)
     # rows kept through the next n's reference sums would raise peak memory
     _rows.cache_clear()
-    return out
+    scale = 4 * (2 * n) * (2 * n - 1)
+    x_holds = l6 == finish.expression and finish.all_equal
+    return [
+        (StepReport.compare(n, StepId.L1_SYMMETRIZED, l0, l1), l1_ns),
+        (StepReport.compare(n, StepId.L2_ABSORBED, l1, scale * l2), l2_ns),
+        (StepReport.compare(n, StepId.L3_FOLDED, l2, l3), l3_ns),
+        (StepReport.compare(n, StepId.L5_CANCELLED, l3, l5), l5_ns),
+        (StepReport.compare(n, StepId.L6_TELESCOPED, l5, l6), l6_ns),
+        (StepReport.compare(n, StepId.L7_CLOSED, closed_lhs, closed_rhs), l7_ns),
+        (StepReport(n, StepId.X_FINISH, l6, finish.expression, x_holds), x_ns),
+    ]
 
 
 def verify_chain(n: int) -> list[StepReport]:

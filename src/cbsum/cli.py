@@ -25,7 +25,7 @@ from typing import Any
 import click
 
 from . import __version__
-from .bench import DEFAULT_NAIVE_CUTOFF
+from .bench import DEFAULT_NAIVE_CUTOFF, skipped
 from .chain import CHAIN_COMPARISONS
 from .identity import Strategy
 from .report import DEFAULT_DIGEST_THRESHOLD, OutputFormat, RunConfig, render_report
@@ -90,7 +90,7 @@ def _finish(runner, n_min: int, n_max: int, **fields: Any) -> None:
 def _refuse_naive_above_cutoff(
     n_max: int, strategies: tuple[Strategy, ...], naive_cutoff: int
 ) -> None:
-    if Strategy.NAIVE in strategies and n_max > naive_cutoff:
+    if any(skipped(s, n_max, naive_cutoff) for s in strategies):
         raise click.UsageError(
             "the naive strategy runs only up to n = --naive-cutoff "
             f"({naive_cutoff}), got n={n_max}; raise --naive-cutoff "
@@ -102,7 +102,7 @@ def _require_measured(
     least: int, why: str, n_max: int, strategies: tuple[Strategy, ...], naive_cutoff: int
 ) -> None:
     # naive is skipped above the cutoff, so n_max measures the fewest
-    measured = len(strategies) - (Strategy.NAIVE in strategies and n_max > naive_cutoff)
+    measured = sum(not skipped(s, n_max, naive_cutoff) for s in strategies)
     if measured < least:
         raise click.UsageError(
             f"{why}, but at n={n_max} only {measured} would be measured; "

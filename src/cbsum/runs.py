@@ -9,11 +9,11 @@ in input order, so reports are deterministic for a fixed config.
 from __future__ import annotations
 
 import os
-from functools import partial
+from functools import cache, partial
 from typing import Any, Callable, Sequence
 
 from . import identity
-from .bench import BenchRecord, median_duration_ns, run_benchmark, timed_evaluation
+from .bench import BenchRecord, median_duration_ns, run_benchmark, timed
 from .chain import verify_chain_timed
 from .combinatorics import central_binomials
 from .digests import value_digest
@@ -83,7 +83,7 @@ def _check_rows(
 def run_eval(config: RunConfig) -> Report:
     n = config.n_min
     strategy = config.strategies_enabled[0]
-    value, elapsed = timed_evaluation(strategy, n)
+    value, elapsed = timed(identity.EVALUATORS[strategy], n)
     fields = describe_value(value, config)
     row: Row = {"n": n, "strategy": strategy.name, **fields, "duration_ns": elapsed}
     if fields["value"] is not None:
@@ -145,19 +145,16 @@ def run_steps(config: RunConfig) -> Report:
     for n, reports in zip(ns, per_n):
         # lines share values, and a holding step has lhs == rhs: digest each
         # distinct value of this n once
-        digests: dict[int, str] = {}
+        digest = cache(value_digest)
         for report, elapsed in reports:
             if report.step not in enabled:
                 continue
-            for value in (report.lhs, report.rhs):
-                if value not in digests:
-                    digests[value] = value_digest(value)
             rows.append(
                 {
                     "n": n,
                     "step_or_strategy": report.step.name,
-                    "lhs_digest": digests[report.lhs],
-                    "rhs_digest": digests[report.rhs],
+                    "lhs_digest": digest(report.lhs),
+                    "rhs_digest": digest(report.rhs),
                     "equal": report.equal,
                     "duration_ns": elapsed,
                 }
