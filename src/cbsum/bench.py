@@ -1,29 +1,26 @@
 """Wall-clock measurement of the evaluation strategies.
 
-Three decisions every command shares are made here, once. :func:`timed`
+Two decisions every command shares are made here, once. :func:`timed`
 is the one clock: ``perf_counter_ns`` around a call, floored at 1 ns.
 :func:`skipped` is the one cutoff rule: NAIVE costs (2n+1)^2 big-integer
-multiplies and is skipped above a cutoff (default n = 3000). And the
-value digests of one n go through a ``functools.cache`` of
-``value_digest`` made for that n, so each distinct value is converted to
-decimal once.
+multiplies and is skipped above a cutoff (default n = 3000).
 
 The ``verify`` and ``bench`` commands both measure through
-:func:`run_benchmark`. Timings are taken per (n, strategy, repetition) and
-cover evaluation only. Every value is compared, as an exact integer, with
-the first one measured at the same n, so a benchmark run doubles as a
-correctness check: a mismatch must fail the run loudly. The digest
-identifies the value in reports; it decides nothing. Skips produce an
-explicit marker record rather than silently vanishing from the report.
+:func:`run_benchmark`, which evaluates, times and compares, and nothing
+else. Timings are taken per (n, strategy, repetition) and cover
+evaluation only. Every value is compared, as an exact integer, with the
+first one measured at the same n, so a benchmark run doubles as a
+correctness check: a mismatch must fail the run loudly. Records carry
+the values themselves; reports digest them where their rows are built.
+Skips produce an explicit marker record rather than silently vanishing
+from the report.
 """
 from __future__ import annotations
 
-import functools
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
-from .digests import value_digest
 from .identity import EVALUATORS, Strategy
 
 DEFAULT_NAIVE_CUTOFF = 3000
@@ -33,16 +30,17 @@ DEFAULT_NAIVE_CUTOFF = 3000
 class BenchRecord:
     """One timing measurement (or an explicit skip marker).
 
-    For skip markers ``duration_ns`` is 0 and ``digest`` empty; for real
-    measurements ``duration_ns`` is strictly positive. ``equal`` says
-    whether the value equals the first value measured at this n.
+    For skip markers ``duration_ns`` is 0 and ``value`` None; for real
+    measurements ``duration_ns`` is strictly positive and ``value`` is the
+    exact value measured. ``equal`` says whether the value equals the
+    first value measured at this n.
     """
 
     n: int
     strategy: Strategy
     repetition: int
     duration_ns: int
-    digest: str
+    value: int | None
     skipped: bool = False
     equal: bool = True
 
@@ -74,19 +72,16 @@ def run_benchmark(
     ordered = [s for s in Strategy if s in strategies]
     records: list[BenchRecord] = []
     for n in ns:
-        digest = functools.cache(value_digest)
         reference = None  # the first value measured at this n
         for strategy in ordered:
             if skipped(strategy, n, naive_cutoff):
-                records.append(BenchRecord(n, strategy, 0, 0, "", skipped=True))
+                records.append(BenchRecord(n, strategy, 0, 0, None, skipped=True))
                 continue
             for rep in range(1, repetitions + 1):
                 value, elapsed = timed(EVALUATORS[strategy], n)
                 if reference is None:
                     reference = value
-                records.append(
-                    BenchRecord(n, strategy, rep, elapsed, digest(value), equal=value == reference)
-                )
+                records.append(BenchRecord(n, strategy, rep, elapsed, value, equal=value == reference))
     return records
 
 

@@ -25,7 +25,8 @@ Every function here evaluates its line literally, iterating only over the
 support of the coefficients involved. Rows 2n and 2n-2 and their prefix
 sums are built once per n and shared by all lines, so each inner sum
 sum_{a<=k<b} row[k] is one prefix-sum difference and each line costs O(n)
-big-integer operations. Rational steps are verified in cleared-denominator
+big-integer operations. :func:`verify_chain_timed` builds them and passes
+them to each line; a line called alone builds its own. Rational steps are verified in cleared-denominator
 integer form; no rational arithmetic exists anywhere.
 
 Quantities are returned as (possibly signed) ints. In a correct build they
@@ -35,7 +36,6 @@ so nothing here assumes a sign.
 from __future__ import annotations
 
 import enum
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -115,14 +115,7 @@ class _Rows:
         return self._small_prefix[b] - self._small_prefix[a]
 
 
-@functools.lru_cache(maxsize=1)
-def _rows(n: int) -> _Rows:
-    """The rows every line at ``n`` reads, built once for consecutive calls
-    at the same n. :func:`verify_chain_timed` drops them when it is done."""
-    return _Rows(n)
-
-
-def absorbed_form(n: int) -> int:
+def absorbed_form(n: int, rows: _Rows | None = None) -> int:
     """L2: the value of S(n) / (4 * 2n * (2n-1)) after absorption,
 
         - sum_{i>=0} sum_{|j|<=i} C(2n-2,n-1+i) C(2n,n+j)
@@ -132,7 +125,7 @@ def absorbed_form(n: int) -> int:
     comparing against L1).
     """
     _require_positive(n, "absorbed_form")
-    rows = _rows(n)
+    rows = rows or _Rows(n)
     big, small = rows.big, rows.small
     top = 2 * n - 2
     first = 0
@@ -146,7 +139,7 @@ def absorbed_form(n: int) -> int:
     return -first + second
 
 
-def folded_form(n: int) -> int:
+def folded_form(n: int, rows: _Rows | None = None) -> int:
     """L3: the j-range of L2 folded to 0 <= j <= i by row symmetry,
 
         - 2 sum_{0<=j<=i} C(2n-2,n-1+i) C(2n,n+j)
@@ -157,7 +150,7 @@ def folded_form(n: int) -> int:
     where the single sums are the j = 0 boundary terms the fold exposes.
     """
     _require_positive(n, "folded_form")
-    rows = _rows(n)
+    rows = rows or _Rows(n)
     big, small = rows.big, rows.small
     top = 2 * n - 2
     first = 0
@@ -172,7 +165,7 @@ def folded_form(n: int) -> int:
     return -2 * first + second + 2 * third - fourth
 
 
-def cancelled_form(n: int) -> int:
+def cancelled_form(n: int, rows: _Rows | None = None) -> int:
     """L5: what survives after expanding L3 by the double Pascal rule and
     cancelling the matching pair of sums:
 
@@ -184,7 +177,7 @@ def cancelled_form(n: int) -> int:
         + C(2n,n)     sum_{i>=0} C(2n-2,n-1+i)
     """
     _require_positive(n, "cancelled_form")
-    rows = _rows(n)
+    rows = rows or _Rows(n)
     big, small = rows.big, rows.small
     top = 2 * n - 2
 
@@ -209,7 +202,7 @@ def cancelled_form(n: int) -> int:
     )
 
 
-def telescoped_form(n: int) -> int:
+def telescoped_form(n: int, rows: _Rows | None = None) -> int:
     """L6: the double sums of L5 telescoped down to boundary single sums,
 
         + 2 C(2n-2,n-1) sum_{i>=0} C(2n-2,n-2+i)
@@ -218,7 +211,7 @@ def telescoped_form(n: int) -> int:
         + C(2n,n)       sum_{i>=0} C(2n-2,n-1+i)
     """
     _require_positive(n, "telescoped_form")
-    rows = _rows(n)
+    rows = rows or _Rows(n)
     big, small = rows.big, rows.small
     top = 2 * n - 2
     center = small[n - 1]
@@ -229,15 +222,18 @@ def telescoped_form(n: int) -> int:
     return 2 * center * low_sum - 2 * below * x - center * parent_half + big[n] * x
 
 
-def closure_sides(n: int, telescoped: int | None = None) -> tuple[int, int]:
+def closure_sides(
+    n: int, telescoped: int | None = None, rows: _Rows | None = None
+) -> tuple[int, int]:
     """L7 in cleared-denominator form: 4(2n-1) L6  vs  n C(2n,n)^2.
 
     ``telescoped`` is L6 at ``n`` when the caller has already evaluated it.
     """
     _require_positive(n, "closure_sides")
+    rows = rows or _Rows(n)
     if telescoped is None:
-        telescoped = telescoped_form(n)
-    center = _rows(n).big[n]
+        telescoped = telescoped_form(n, rows)
+    center = rows.big[n]
     return 4 * (2 * n - 1) * telescoped, n * center * center
 
 
@@ -279,7 +275,9 @@ class AlternativeFinish:
         )
 
 
-def alternative_finish(n: int, telescoped: int | None = None) -> AlternativeFinish:
+def alternative_finish(
+    n: int, telescoped: int | None = None, rows: _Rows | None = None
+) -> AlternativeFinish:
     """Evaluate the X-based finish and everything it depends on.
 
     ``telescoped`` is L6 at ``n`` when the caller has already evaluated it.
@@ -287,9 +285,9 @@ def alternative_finish(n: int, telescoped: int | None = None) -> AlternativeFini
     adjacent-pair substitution is checked against an independent value.
     """
     _require_positive(n, "alternative_finish")
+    rows = rows or _Rows(n)
     if telescoped is None:
-        telescoped = telescoped_form(n)
-    rows = _rows(n)
+        telescoped = telescoped_form(n, rows)
     big, small = rows.big, rows.small
     top = 2 * n - 2
     above = binomial(2 * n - 1, n - 1)
@@ -319,19 +317,20 @@ def verify_chain_timed(n: int) -> list[tuple[StepReport, int]]:
 
     The attached duration (nanoseconds, from :func:`cbsum.bench.timed`) is
     the time taken to evaluate the quantities each comparison introduces,
-    so the first entry covers both reference sums, L0 and L1. A false flag
-    is a result, never an exception.
+    so the first entry covers both reference sums, L0 and L1, and the
+    second building the rows every later line reads. A false flag is a
+    result, never an exception.
     """
     _require_positive(n, "verify_chain")
     (l0, l1), l1_ns = timed(lambda: (evaluate_naive(n), evaluate_symmetrized(n)))
-    l2, l2_ns = timed(absorbed_form, n)
-    l3, l3_ns = timed(folded_form, n)
-    l5, l5_ns = timed(cancelled_form, n)
-    l6, l6_ns = timed(telescoped_form, n)
-    (closed_lhs, closed_rhs), l7_ns = timed(closure_sides, n, l6)
-    finish, x_ns = timed(alternative_finish, n, l6)
-    # rows kept through the next n's reference sums would raise peak memory
-    _rows.cache_clear()
+    # the rows are built after L0 and L1, so they are not held through the
+    # reference sums, and inside L2's span, as L2 is the first line to read them
+    (rows, l2), l2_ns = timed(lambda: (rows := _Rows(n), absorbed_form(n, rows)))
+    l3, l3_ns = timed(folded_form, n, rows)
+    l5, l5_ns = timed(cancelled_form, n, rows)
+    l6, l6_ns = timed(telescoped_form, n, rows)
+    (closed_lhs, closed_rhs), l7_ns = timed(closure_sides, n, l6, rows)
+    finish, x_ns = timed(alternative_finish, n, l6, rows)
     scale = 4 * (2 * n) * (2 * n - 1)
     x_holds = l6 == finish.expression and finish.all_equal
     return [

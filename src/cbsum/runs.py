@@ -5,12 +5,19 @@ payload, its text lines the human-readable rendering, and its columns
 the CSV header. Whether the run passed is read off the rows. Runs over
 an n-range may fan out across worker processes, results are merged back
 in input order, so reports are deterministic for a fixed config.
+
+``verify``, ``bench`` and ``steps`` go n by n: each n is evaluated and
+compared on exact integers, then its check rows are built by the one row
+builder, :func:`_check_rows`, which digests the values of that n, before
+the next n's results are read. So no run holds the values of its whole
+range.
 """
 from __future__ import annotations
 
 import os
+from dataclasses import replace
 from functools import cache, partial
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from . import identity
 from .bench import BenchRecord, median_duration_ns, run_benchmark, timed
@@ -34,48 +41,66 @@ def ProcessPoolExecutor(max_workers: int) -> Any:
     return executor(max_workers=max_workers)
 
 
-def _map_over(fn: Callable[[Any], Any], items: Sequence[Any], jobs: int) -> list[Any]:
+def _map_over(fn: Callable[[Any], Any], items: Sequence[Any], jobs: int) -> Iterator[Any]:
+    """``fn`` over ``items``, each result handed back in input order as it
+    arrives, so a caller can finish with one before the next is made."""
     workers = min(jobs, len(items), os.cpu_count() or 1)
     if workers <= 1:
-        return [fn(item) for item in items]
+        yield from map(fn, items)
+        return
     with ProcessPoolExecutor(max_workers=workers) as pool:
         # one item per task: a worker that finishes takes the next n, so the
         # costly large n at the end of a range do not queue behind one worker
-        return list(pool.map(fn, items))
+        yield from pool.map(fn, items)
 
 
 def _short(digest: str) -> str:
     return digest[:12] if digest else "-"
 
 
-def _check_rows(
-    records: Sequence[BenchRecord],
-    extra: Callable[[BenchRecord, BenchRecord | None], Row],
-) -> list[Row]:
-    """One row per record, set beside the reference: the first record
-    measured at its n. Whether the values are equal comes from the record
-    (compared as integers); the digests are for display. The command's own
-    keys come from ``extra(record, reference)``."""
-    refs: dict[int, BenchRecord] = {}
-    for record in records:
-        if not record.skipped:
-            refs.setdefault(record.n, record)
-    rows: list[Row] = []
-    for record in records:
-        ref = refs.get(record.n)
-        measured = not record.skipped
-        rows.append(
-            {
-                "n": record.n,
-                "step_or_strategy": record.strategy.name,
-                "lhs_digest": record.digest,
-                "rhs_digest": ref.digest if measured else "",
-                "equal": record.equal if measured else "skipped",
-                "duration_ns": record.duration_ns if measured else None,
-                **extra(record, ref),
-            }
+def _check_rows(n: int, checks: Iterable[tuple]) -> list[Row]:
+    """One row per check at ``n``: (name, lhs, rhs, equal, duration_ns,
+    the command's own keys). Whether the sides are equal was decided on
+    the integers; the digests are for display. Checks share values, and a
+    holding check has lhs == rhs, so each distinct value of this n is
+    digested once. A skipped check has no values and empty digests."""
+    digest = cache(value_digest)
+    return [
+        {
+            "n": n,
+            "step_or_strategy": name,
+            "lhs_digest": "" if lhs is None else digest(lhs),
+            "rhs_digest": "" if rhs is None else digest(rhs),
+            "equal": equal,
+            "duration_ns": duration_ns,
+            **extra,
+        }
+        for name, lhs, rhs, equal, duration_ns, extra in checks
+    ]
+
+
+def _measured(
+    config: RunConfig, extra: Callable[[BenchRecord, BenchRecord | None], Row]
+) -> Iterator[tuple[int, list[BenchRecord], list[Row]]]:
+    """``verify`` and ``bench``: measure one n, then build its rows, n by n.
+    Each record is set beside the reference, the first one measured at its
+    n; the command's own keys come from ``extra(record, reference)``."""
+    measure = partial(
+        run_benchmark,
+        strategies=config.strategies_enabled,
+        repetitions=config.repetitions,
+        naive_cutoff=config.naive_cutoff,
+    )
+    ns = range(config.n_min, config.n_max + 1)
+    for n, records in zip(ns, _map_over(measure, [[n] for n in ns], config.parallelism)):
+        ref = next((r for r in records if not r.skipped), None)
+        checks = (
+            (r.strategy.name, None, None, "skipped", None, extra(r, ref))
+            if r.skipped
+            else (r.strategy.name, r.value, ref.value, r.equal, r.duration_ns, extra(r, ref))
+            for r in records
         )
-    return rows
+        yield n, records, _check_rows(n, checks)
 
 
 # --- eval -------------------------------------------------------------------
@@ -100,20 +125,10 @@ def _verify_keys(record: BenchRecord, ref: BenchRecord | None) -> Row:
 
 
 def run_verify(config: RunConfig) -> Report:
-    ns = list(range(config.n_min, config.n_max + 1))
-    measure = partial(
-        run_benchmark,
-        strategies=config.strategies_enabled,
-        repetitions=1,
-        naive_cutoff=config.naive_cutoff,
-    )
-    per_n = [
-        _check_rows(records, _verify_keys)
-        for records in _map_over(measure, [[n] for n in ns], config.parallelism)
-    ]
-    rows = [row for group in per_n for row in group]
+    rows: list[Row] = []
     text = []
-    for n, group in zip(ns, per_n):
+    for n, _, group in _measured(config, _verify_keys):
+        rows += group
         measured = [r for r in group if r["equal"] != "skipped"]
         skipped = [r for r in group if r["equal"] == "skipped"]
         bad = [r for r in measured if r["equal"] is not True]
@@ -138,29 +153,19 @@ def run_verify(config: RunConfig) -> Report:
 
 def run_steps(config: RunConfig) -> Report:
     ns = list(range(config.n_min, config.n_max + 1))
-    per_n = _map_over(verify_chain_timed, ns, config.parallelism)
     enabled = set(config.steps_enabled)
     rows: list[Row] = []
     text: list[str] = []
-    for n, reports in zip(ns, per_n):
-        # lines share values, and a holding step has lhs == rhs: digest each
-        # distinct value of this n once
-        digest = cache(value_digest)
-        for report, elapsed in reports:
-            if report.step not in enabled:
-                continue
-            rows.append(
-                {
-                    "n": n,
-                    "step_or_strategy": report.step.name,
-                    "lhs_digest": digest(report.lhs),
-                    "rhs_digest": digest(report.rhs),
-                    "equal": report.equal,
-                    "duration_ns": elapsed,
-                }
-            )
-            mark = "ok" if report.equal else "MISMATCH"
-            text.append(f"n={n} {report.step.name:<15} {mark}")
+    for n, reports in zip(ns, _map_over(verify_chain_timed, ns, config.parallelism)):
+        checks = (
+            (report.step.name, report.lhs, report.rhs, report.equal, elapsed, {})
+            for report, elapsed in reports
+            if report.step in enabled
+        )
+        for row in _check_rows(n, checks):
+            rows.append(row)
+            mark = "ok" if row["equal"] else "MISMATCH"
+            text.append(f"n={n} {row['step_or_strategy']:<15} {mark}")
     text.append(
         f"steps {config.n_min}..{config.n_max}: "
         + ("every step holds" if rows_pass(rows) else "STEP MISMATCH FOUND")
@@ -175,26 +180,26 @@ def _bench_keys(record: BenchRecord, ref: BenchRecord | None) -> Row:
 
 
 def run_bench(config: RunConfig) -> Report:
-    ns = range(config.n_min, config.n_max + 1)
-    strategies = config.strategies_enabled
-    records = run_benchmark(ns, strategies, config.repetitions, config.naive_cutoff)
-    rows = _check_rows(records, _bench_keys)
+    rows: list[Row] = []
     text = []
-    for record in records:
-        if record.skipped:
-            text.append(
-                f"n={record.n} {record.strategy.name:<12} skipped "
-                f"(naive cutoff {config.naive_cutoff})"
-            )
-        else:
-            text.append(
-                f"n={record.n} {record.strategy.name:<12} rep={record.repetition} "
-                f"{record.duration_ns / 1e6:10.3f} ms  digest={_short(record.digest)}"
-            )
-    for strategy in strategies:
-        measured = [r for r in records if r.strategy is strategy and not r.skipped]
-        if measured:
-            median = median_duration_ns(records, strategy)
+    timings: list[BenchRecord] = []  # for the medians, without the values
+    for _, records, group in _measured(config, _bench_keys):
+        rows += group
+        for record, row in zip(records, group):
+            if record.skipped:
+                text.append(
+                    f"n={record.n} {record.strategy.name:<12} skipped "
+                    f"(naive cutoff {config.naive_cutoff})"
+                )
+            else:
+                text.append(
+                    f"n={record.n} {record.strategy.name:<12} rep={record.repetition} "
+                    f"{record.duration_ns / 1e6:10.3f} ms  digest={_short(row['lhs_digest'])}"
+                )
+            timings.append(replace(record, value=None))
+    for strategy in config.strategies_enabled:
+        if any(r.strategy is strategy and not r.skipped for r in timings):
+            median = median_duration_ns(timings, strategy)
             text.append(f"median {strategy.name:<12} {median / 1e6:10.3f} ms")
     text.append("digests consistent" if rows_pass(rows) else "DIGEST MISMATCH")
     return Report(config, rows, text)

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import pytest
 
+from cbsum import digests, identity
 from cbsum.bench import BenchRecord, median_duration_ns, run_benchmark
 from cbsum.identity import Strategy
 
@@ -17,7 +18,7 @@ class TestRunBenchmark:
 
     def test_digests_agree_across_strategies(self):
         records = run_benchmark([10], ALL, repetitions=3)
-        assert len({r.digest for r in records}) == 1
+        assert len({r.value for r in records}) == 1
 
     def test_durations_positive_and_ordering(self):
         records = run_benchmark([10], ALL, repetitions=2)
@@ -30,34 +31,50 @@ class TestRunBenchmark:
         skipped = [r for r in records if r.skipped]
         measured = [r for r in records if not r.skipped]
         assert [r.strategy for r in skipped] == [Strategy.NAIVE]
-        assert skipped[0].digest == "" and skipped[0].duration_ns == 0
+        assert skipped[0].value is None and skipped[0].duration_ns == 0
         assert len(measured) == 4  # two strategies x two repetitions
-        assert len({r.digest for r in measured}) == 1
+        assert len({r.value for r in measured}) == 1
 
     def test_symmetrized_and_closed_form_agree_at_2000(self):
         records = run_benchmark(
             [2000], (Strategy.SYMMETRIZED, Strategy.CLOSED_FORM), repetitions=1
         )
         assert len(records) == 2
-        assert records[0].digest == records[1].digest
+        assert records[0].value == records[1].value
 
     def test_bad_repetitions_rejected(self):
         with pytest.raises(ValueError):
             run_benchmark([1], ALL, repetitions=0)
 
+    def test_no_decimal_conversion(self, monkeypatch):
+        def refuse(value):
+            raise AssertionError("run_benchmark converted a value to decimal")
+
+        monkeypatch.setattr(digests, "decimal_str", refuse)
+        records = run_benchmark([10, 11], ALL, repetitions=2)
+        assert all(r.equal for r in records)
+
+    def test_mismatched_record_holds_its_value(self, monkeypatch):
+        real = identity.EVALUATORS[Strategy.CLOSED_FORM]
+        monkeypatch.setitem(identity.EVALUATORS, Strategy.CLOSED_FORM, lambda n: real(n) + 1)
+        reference, symmetrized, closed = run_benchmark([6], ALL, repetitions=1)
+        assert reference.equal and symmetrized.equal and not closed.equal
+        assert reference.value == symmetrized.value
+        assert closed.value - reference.value == 1
+
 
 class TestMedian:
     def test_median_over_synthetic_records(self):
         records = [
-            BenchRecord(5, Strategy.NAIVE, rep, duration, "d")
+            BenchRecord(5, Strategy.NAIVE, rep, duration, 7)
             for rep, duration in enumerate([30, 10, 20], start=1)
         ]
         assert median_duration_ns(records, Strategy.NAIVE) == 20
 
     def test_median_ignores_skips_and_other_strategies(self):
         records = [
-            BenchRecord(5, Strategy.NAIVE, 0, 0, "", skipped=True),
-            BenchRecord(5, Strategy.SYMMETRIZED, 1, 7, "d"),
+            BenchRecord(5, Strategy.NAIVE, 0, 0, None, skipped=True),
+            BenchRecord(5, Strategy.SYMMETRIZED, 1, 7, 7),
         ]
         assert median_duration_ns(records, Strategy.SYMMETRIZED) == 7
         with pytest.raises(ValueError):

@@ -192,9 +192,9 @@ class TestSharedRows:
         calls = []
         real = chain.telescoped_form
 
-        def counting(n):
+        def counting(n, rows=None):
             calls.append(n)
-            return real(n)
+            return real(n, rows)
 
         monkeypatch.setattr(chain, "telescoped_form", counting)
         assert all(report.equal for report, _ in verify_chain_timed(5))
@@ -211,10 +211,17 @@ class TestSharedRows:
             return real(m)
 
         monkeypatch.setattr(chain, "pascal_row", counting)
-        chain._rows.cache_clear()
         for n in (3, 4, 9):
             assert all(report.equal for report, _ in verify_chain_timed(n))
         assert built == [6, 4, 8, 6, 18, 16]
+
+    def test_failed_call_leaves_no_rows_behind(self, monkeypatch):
+        real = chain.pascal_row
+        monkeypatch.setattr(chain, "pascal_row", lambda m: real(m)[:-1])
+        with pytest.raises(IndexError):
+            verify_chain_timed(3)
+        monkeypatch.setattr(chain, "pascal_row", real)
+        assert all(report.equal for report in verify_chain(3))
 
 
 class TestDivisibility:

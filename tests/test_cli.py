@@ -388,6 +388,8 @@ def test_binomial_calls_per_command(runner, monkeypatch, argv, calls):
         (["steps", "--range", "5..5", "--format", "json"], 3),
         # three strategies agree at each of three n
         (["verify", "--range", "10..12", "--format", "csv"], 3),
+        # naive skipped at 4 and 5; every repetition gives the same value
+        (["bench", "--range", "3..5", "--repetitions", "2", "--naive-cutoff", "3", "--format", "csv"], 3),
     ],
 )
 def test_digested_value_is_converted_once(runner, monkeypatch, argv, values):
@@ -408,6 +410,45 @@ def test_digested_value_is_converted_once(runner, monkeypatch, argv, values):
         result = runner.invoke(main, argv)
         assert result.exit_code == 0
         assert len(converted) == len(set(converted)) == values
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--range", "2..4", "--jobs", "1"],
+        ["bench", "--range", "2..4", "--repetitions", "2"],
+        ["steps", "--range", "1..3", "--jobs", "1"],
+    ],
+)
+def test_each_n_is_digested_before_the_next_is_evaluated(runner, monkeypatch, argv):
+    # values are dropped n by n, not held for the whole range: the digests
+    # of n all come before the first evaluation at n + 1, which is naive's
+    lo, hi = parse_range(argv[2])
+    # S(n) and every chain line's value, each at one n only
+    n_of = {v: n for n in range(lo, hi + 1) for r in chain.verify_chain(n) for v in (r.lhs, r.rhs)}
+    events = []
+    real_naive, real_digest = identity.evaluate_naive, runs.value_digest
+
+    def evaluating(n):
+        events.append(("evaluate", n))
+        return real_naive(n)
+
+    def digesting(value):
+        events.append(("digest", n_of[value]))
+        return real_digest(value)
+
+    monkeypatch.setitem(identity.EVALUATORS, Strategy.NAIVE, evaluating)
+    monkeypatch.setattr(chain, "evaluate_naive", evaluating)
+    monkeypatch.setattr(runs, "value_digest", digesting)
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 0, result.output
+    assert {n for kind, n in events if kind == "digest"} == set(range(lo, hi + 1))
+    evaluated = lo
+    for kind, n in events:
+        if kind == "evaluate":
+            evaluated = n
+        else:
+            assert n == evaluated, events
 
 
 @pytest.mark.parametrize(
