@@ -7,13 +7,12 @@ multiplies and is skipped above a cutoff (default n = 3000).
 
 The ``verify`` and ``bench`` commands both measure through
 :func:`run_benchmark`, which evaluates, times and compares, and nothing
-else. Timings are taken per (n, strategy, repetition) and cover
-evaluation only. Every value is compared, as an exact integer, with the
-first one measured at the same n, so a benchmark run doubles as a
-correctness check: a mismatch must fail the run loudly. Records carry
-the values themselves; reports digest them where their rows are built.
-Skips produce an explicit marker record rather than silently vanishing
-from the report.
+else. Timings are taken per (n, strategy, repetition) and cover evaluation
+only. Every value is compared, as an exact integer, with the first one
+measured at the same n, so a benchmark run doubles as a correctness check:
+a mismatch must fail the run loudly. Records carry the values themselves;
+reports digest them where their rows are built. Skips produce an explicit
+marker record rather than silently vanishing from the report.
 """
 from __future__ import annotations
 

@@ -23,11 +23,11 @@ X = sum_{i>=0} C(2n-2, n-1+i), the chain is:
 
 Every function here evaluates its line literally, iterating only over the
 support of the coefficients involved. Rows 2n and 2n-2 and their prefix
-sums are built once per n and shared by all lines, so each inner sum
-sum_{a<=k<b} row[k] is one prefix-sum difference and each line costs O(n)
-big-integer operations. :func:`verify_chain_timed` builds them and passes
-them to each line; a line called alone builds its own. Rational steps are verified in cleared-denominator
-integer form; no rational arithmetic exists anywhere.
+sums are built once per n by :func:`verify_chain_timed` and passed to every
+line (a line called alone builds its own), so each inner sum sum_{a<=k<b}
+row[k] is one prefix-sum difference and each line costs O(n) big-integer
+operations. Rational steps are verified in cleared-denominator integer
+form; no rational arithmetic exists anywhere.
 
 Quantities are returned as (possibly signed) ints. In a correct build they
 are all positive, but two-term combinations could in principle go negative,
@@ -323,8 +323,7 @@ def verify_chain_timed(n: int) -> list[tuple[StepReport, int]]:
     """
     _require_positive(n, "verify_chain")
     (l0, l1), l1_ns = timed(lambda: (evaluate_naive(n), evaluate_symmetrized(n)))
-    # the rows are built after L0 and L1, so they are not held through the
-    # reference sums, and inside L2's span, as L2 is the first line to read them
+    # the rows: built after L0 and L1, not held through them, timed in L2's span
     (rows, l2), l2_ns = timed(lambda: (rows := _Rows(n), absorbed_form(n, rows)))
     l3, l3_ns = timed(folded_form, n, rows)
     l5, l5_ns = timed(cancelled_form, n, rows)

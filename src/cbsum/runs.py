@@ -6,15 +6,14 @@ the CSV header. Whether the run passed is read off the rows. Runs over
 an n-range may fan out across worker processes, results are merged back
 in input order, so reports are deterministic for a fixed config.
 
-``verify``, ``bench`` and ``steps`` go n by n: each n is evaluated and
-compared on exact integers, then its check rows are built by the one row
-builder, :func:`_check_rows`, which digests the values of that n, before
-the next n's results are read. So no run holds the values of its whole
-range.
+``verify``, ``bench`` and ``steps`` go n by n: each n is checked on exact
+integers, then its rows are built by the one row builder, :func:`_check_rows`,
+which digests its values before the next n's results are read.
 """
 from __future__ import annotations
 
 import os
+from collections import deque
 from dataclasses import replace
 from functools import cache, partial
 from typing import Any, Callable, Iterable, Iterator, Sequence
@@ -50,8 +49,14 @@ def _map_over(fn: Callable[[Any], Any], items: Sequence[Any], jobs: int) -> Iter
         return
     with ProcessPoolExecutor(max_workers=workers) as pool:
         # one item per task: a worker that finishes takes the next n, so the
-        # costly large n at the end of a range do not queue behind one worker
-        yield from pool.map(fn, items)
+        # costly large n at the end of a range do not queue behind one worker;
+        # and at most 2 * workers + 1 in flight, so results do not pile up unread
+        pending = deque(pool.submit(fn, item) for item in items[: 2 * workers])
+        for item in items[2 * workers :]:
+            pending.append(pool.submit(fn, item))
+            yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
 
 
 def _short(digest: str) -> str:
@@ -59,11 +64,10 @@ def _short(digest: str) -> str:
 
 
 def _check_rows(n: int, checks: Iterable[tuple]) -> list[Row]:
-    """One row per check at ``n``: (name, lhs, rhs, equal, duration_ns,
-    the command's own keys). Whether the sides are equal was decided on
-    the integers; the digests are for display. Checks share values, and a
-    holding check has lhs == rhs, so each distinct value of this n is
-    digested once. A skipped check has no values and empty digests."""
+    """One row per check at ``n``: (name, lhs, rhs, equal, duration_ns, the
+    command's own keys); ``equal`` was decided on the integers. Checks share
+    values, so each distinct value of this n is digested once, for display;
+    a skipped check has no values and empty digests."""
     digest = cache(value_digest)
     return [
         {
@@ -82,9 +86,8 @@ def _check_rows(n: int, checks: Iterable[tuple]) -> list[Row]:
 def _measured(
     config: RunConfig, extra: Callable[[BenchRecord, BenchRecord | None], Row]
 ) -> Iterator[tuple[int, list[BenchRecord], list[Row]]]:
-    """``verify`` and ``bench``: measure one n, then build its rows, n by n.
-    Each record is set beside the reference, the first one measured at its
-    n; the command's own keys come from ``extra(record, reference)``."""
+    """``verify`` and ``bench``: measure one n, then build its rows, each record
+    beside the first one measured at its n, with ``extra(record, that one)``."""
     measure = partial(
         run_benchmark,
         strategies=config.strategies_enabled,

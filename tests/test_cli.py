@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import time
+from concurrent.futures import Future
 from pathlib import Path
 from unittest import mock
 
@@ -533,8 +534,8 @@ def test_workers_clamped_to_sizes_and_cpus(runner, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items, chunksize=1):
-            return map(fn, items)
+        def submit(self, fn, item):
+            return finished(fn(item))
 
     monkeypatch.setattr(runs, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(runs.os, "cpu_count", lambda: 4)
@@ -547,8 +548,16 @@ def test_workers_clamped_to_sizes_and_cpus(runner, monkeypatch):
     assert started == [3, 4]
 
 
+def finished(value: object) -> Future:
+    future: Future = Future()
+    future.set_result(value)
+    return future
+
+
 def test_pool_takes_one_n_per_task(runner, monkeypatch):
-    handed = []
+    # one n per task, so the costly large n do not queue behind one worker,
+    # and at most 2 * workers + 1 tasks in flight, so results do not pile up
+    handed, in_flight = [], []
 
     class RecordingPool:
         """Stands in for the process pool: records how work is handed to it."""
@@ -562,18 +571,30 @@ def test_pool_takes_one_n_per_task(runner, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items, **options):
-            handed.append((len(items), options))
-            return map(fn, items)
+        def submit(self, fn, item):
+            handed.append(item)
+            in_flight.append(len(handed) - len(read))
+            return finished(fn(item))
+
+    read = []
+    real_check_rows = runs._check_rows
+
+    def reading(n, checks):
+        read.append(n)
+        return real_check_rows(n, checks)
 
     monkeypatch.setattr(runs, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(runs, "_check_rows", reading)
     monkeypatch.setattr(runs.os, "cpu_count", lambda: 2)
-    # 41 and 20 n: contiguous chunks of len // (2 workers * 4) would be 5 and 2
     verify = ["verify", "--range", "0..40", "--naive-cutoff", "5", "--jobs", "2"]
     assert runner.invoke(main, verify).exit_code == 0
+    assert handed == [[n] for n in range(41)]
+    assert max(in_flight) == 5
+    for log in (handed, read, in_flight):
+        log.clear()
     assert runner.invoke(main, ["steps", "--range", "1..20", "--jobs", "2"]).exit_code == 0
-    assert [count for count, _ in handed] == [41, 20]
-    assert all(options.get("chunksize", 1) == 1 for _, options in handed)
+    assert handed == list(range(1, 21))
+    assert max(in_flight) == 5
 
 
 def test_interrupt_exits_130(runner, monkeypatch):
