@@ -22,12 +22,12 @@ X = sum_{i>=0} C(2n-2, n-1+i), the chain is:
         C(2n-2,n-1) C(2n-1,n-1)
 
 Every function here evaluates its line literally, iterating only over the
-support of the coefficients involved. Rows 2n and 2n-2 and their prefix
-sums are built once per n by :func:`verify_chain_timed` and passed to every
-line (a line called alone builds its own), so each inner sum sum_{a<=k<b}
-row[k] is one prefix-sum difference and each line costs O(n) big-integer
-operations. Rational steps are verified in cleared-denominator integer
-form; no rational arithmetic exists anywhere.
+support of the coefficients involved. Each line takes ``(n, rows)``:
+rows 2n and 2n-2 and their prefix sums, built once per n by
+:func:`verify_chain_timed`, which alone checks n >= 1. So each inner sum
+sum_{a<=k<b} row[k] is one prefix-sum difference and each line costs O(n)
+big-integer operations. Rational steps are verified in cleared-denominator
+integer form; no rational arithmetic exists anywhere.
 
 Quantities are returned as (possibly signed) ints. In a correct build they
 are all positive, but two-term combinations could in principle go negative,
@@ -85,13 +85,6 @@ class StepReport:
         return cls(n=n, step=step, lhs=lhs, rhs=rhs, equal=lhs == rhs)
 
 
-def _require_positive(n: int, where: str) -> None:
-    if n < 1:
-        raise ValueError(
-            f"{where}: needs n >= 1 (the chain divides by 2n(2n-1)), got n={n}"
-        )
-
-
 class _Rows:
     """Rows 2n (``big``) and 2n-2 (``small``) of Pascal's triangle, with
     their prefix sums: ``big_sum(a, b)`` is sum(big[a:b]) for 0 <= a <= b.
@@ -115,17 +108,15 @@ class _Rows:
         return self._small_prefix[b] - self._small_prefix[a]
 
 
-def absorbed_form(n: int, rows: _Rows | None = None) -> int:
+def absorbed_form(n: int, rows: _Rows) -> int:
     """L2: the value of S(n) / (4 * 2n * (2n-1)) after absorption,
 
         - sum_{i>=0} sum_{|j|<=i} C(2n-2,n-1+i) C(2n,n+j)
         + sum_{i>=0} sum_{|j|<=i} C(2n,n+i) C(2n-2,n-1+j)
 
-    evaluated as a plain integer (callers clear the denominator when
-    comparing against L1).
+    evaluated as a plain integer from ``rows``, the :class:`_Rows` at ``n``
+    (callers clear the denominator when comparing against L1).
     """
-    _require_positive(n, "absorbed_form")
-    rows = rows or _Rows(n)
     big, small = rows.big, rows.small
     top = 2 * n - 2
     first = 0
@@ -139,7 +130,7 @@ def absorbed_form(n: int, rows: _Rows | None = None) -> int:
     return -first + second
 
 
-def folded_form(n: int, rows: _Rows | None = None) -> int:
+def folded_form(n: int, rows: _Rows) -> int:
     """L3: the j-range of L2 folded to 0 <= j <= i by row symmetry,
 
         - 2 sum_{0<=j<=i} C(2n-2,n-1+i) C(2n,n+j)
@@ -149,8 +140,6 @@ def folded_form(n: int, rows: _Rows | None = None) -> int:
 
     where the single sums are the j = 0 boundary terms the fold exposes.
     """
-    _require_positive(n, "folded_form")
-    rows = rows or _Rows(n)
     big, small = rows.big, rows.small
     top = 2 * n - 2
     first = 0
@@ -165,7 +154,7 @@ def folded_form(n: int, rows: _Rows | None = None) -> int:
     return -2 * first + second + 2 * third - fourth
 
 
-def cancelled_form(n: int, rows: _Rows | None = None) -> int:
+def cancelled_form(n: int, rows: _Rows) -> int:
     """L5: what survives after expanding L3 by the double Pascal rule and
     cancelling the matching pair of sums:
 
@@ -176,8 +165,6 @@ def cancelled_form(n: int, rows: _Rows | None = None) -> int:
         - C(2n-2,n-1) sum_{i>=0} C(2n,n+i)
         + C(2n,n)     sum_{i>=0} C(2n-2,n-1+i)
     """
-    _require_positive(n, "cancelled_form")
-    rows = rows or _Rows(n)
     big, small = rows.big, rows.small
     top = 2 * n - 2
 
@@ -202,7 +189,7 @@ def cancelled_form(n: int, rows: _Rows | None = None) -> int:
     )
 
 
-def telescoped_form(n: int, rows: _Rows | None = None) -> int:
+def telescoped_form(n: int, rows: _Rows) -> int:
     """L6: the double sums of L5 telescoped down to boundary single sums,
 
         + 2 C(2n-2,n-1) sum_{i>=0} C(2n-2,n-2+i)
@@ -210,8 +197,6 @@ def telescoped_form(n: int, rows: _Rows | None = None) -> int:
         - C(2n-2,n-1)   sum_{i>=0} C(2n,n+i)
         + C(2n,n)       sum_{i>=0} C(2n-2,n-1+i)
     """
-    _require_positive(n, "telescoped_form")
-    rows = rows or _Rows(n)
     big, small = rows.big, rows.small
     top = 2 * n - 2
     center = small[n - 1]
@@ -222,17 +207,11 @@ def telescoped_form(n: int, rows: _Rows | None = None) -> int:
     return 2 * center * low_sum - 2 * below * x - center * parent_half + big[n] * x
 
 
-def closure_sides(
-    n: int, telescoped: int | None = None, rows: _Rows | None = None
-) -> tuple[int, int]:
+def closure_sides(n: int, rows: _Rows, telescoped: int) -> tuple[int, int]:
     """L7 in cleared-denominator form: 4(2n-1) L6  vs  n C(2n,n)^2.
 
-    ``telescoped`` is L6 at ``n`` when the caller has already evaluated it.
+    ``telescoped`` is L6 at ``n``, evaluated from the same ``rows``.
     """
-    _require_positive(n, "closure_sides")
-    rows = rows or _Rows(n)
-    if telescoped is None:
-        telescoped = telescoped_form(n, rows)
     center = rows.big[n]
     return 4 * (2 * n - 1) * telescoped, n * center * center
 
@@ -275,19 +254,13 @@ class AlternativeFinish:
         )
 
 
-def alternative_finish(
-    n: int, telescoped: int | None = None, rows: _Rows | None = None
-) -> AlternativeFinish:
+def alternative_finish(n: int, rows: _Rows, telescoped: int) -> AlternativeFinish:
     """Evaluate the X-based finish and everything it depends on.
 
-    ``telescoped`` is L6 at ``n`` when the caller has already evaluated it.
+    ``telescoped`` is L6 at ``n``, evaluated from the same ``rows``.
     C(2n-1,n-1) comes from :func:`binomial`, not from the rows, so the
     adjacent-pair substitution is checked against an independent value.
     """
-    _require_positive(n, "alternative_finish")
-    rows = rows or _Rows(n)
-    if telescoped is None:
-        telescoped = telescoped_form(n, rows)
     big, small = rows.big, rows.small
     top = 2 * n - 2
     above = binomial(2 * n - 1, n - 1)
@@ -321,15 +294,16 @@ def verify_chain_timed(n: int) -> list[tuple[StepReport, int]]:
     second building the rows every later line reads. A false flag is a
     result, never an exception.
     """
-    _require_positive(n, "verify_chain")
+    if n < 1:
+        raise ValueError(f"verify_chain: needs n >= 1 (the chain divides by 2n(2n-1)), got n={n}")
     (l0, l1), l1_ns = timed(lambda: (evaluate_naive(n), evaluate_symmetrized(n)))
     # the rows: built after L0 and L1, not held through them, timed in L2's span
     (rows, l2), l2_ns = timed(lambda: (rows := _Rows(n), absorbed_form(n, rows)))
     l3, l3_ns = timed(folded_form, n, rows)
     l5, l5_ns = timed(cancelled_form, n, rows)
     l6, l6_ns = timed(telescoped_form, n, rows)
-    (closed_lhs, closed_rhs), l7_ns = timed(closure_sides, n, l6, rows)
-    finish, x_ns = timed(alternative_finish, n, l6, rows)
+    (closed_lhs, closed_rhs), l7_ns = timed(closure_sides, n, rows, l6)
+    finish, x_ns = timed(alternative_finish, n, rows, l6)
     scale = 4 * (2 * n) * (2 * n - 1)
     x_holds = l6 == finish.expression and finish.all_equal
     return [

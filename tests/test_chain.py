@@ -26,6 +26,17 @@ from oracle import brute_force_sum
 ALL_FORMS = (absorbed_form, folded_form, cancelled_form, telescoped_form)
 
 
+def at(line, n: int):
+    """``line`` at ``n``, on rows built for this call alone."""
+    return line(n, chain._Rows(n))
+
+
+def after_l6(line, n: int):
+    """``closure_sides`` or ``alternative_finish`` at ``n``, given L6 from the same rows."""
+    rows = chain._Rows(n)
+    return line(n, rows, telescoped_form(n, rows))
+
+
 def line_value(n: int) -> int:
     """What L2, L3, L5 and L6 all equal: C(2n-2,n-1) C(2n-1,n-1), from math.comb."""
     return math.comb(2 * n - 2, n - 1) * math.comb(2 * n - 1, n - 1)
@@ -40,80 +51,76 @@ class TestLineQuantities:
 
     def test_absorbed_form_small_values(self):
         # frozen: S(1)/(4*2*1) = 1, S(2)/(4*4*3) = 6, S(3)/(4*6*5) = 60
-        assert absorbed_form(1) == 1
-        assert absorbed_form(2) == 6
-        assert absorbed_form(3) == 60
+        assert at(absorbed_form, 1) == 1
+        assert at(absorbed_form, 2) == 6
+        assert at(absorbed_form, 3) == 60
 
     def test_absorbed_form_is_exact_quotient_of_sum(self):
         for n in (1, 2, 3, 4, 7):
             scale = 4 * (2 * n) * (2 * n - 1)
             quotient, remainder = divmod(brute_force_sum(n), scale)
             assert remainder == 0
-            assert absorbed_form(n) == quotient
+            assert at(absorbed_form, n) == quotient
 
     def test_folded_form_small_values(self):
-        assert folded_form(1) == 1
-        assert folded_form(2) == 6
-        assert folded_form(10) == absorbed_form(10)
+        assert at(folded_form, 1) == 1
+        assert at(folded_form, 2) == 6
+        assert at(folded_form, 10) == at(absorbed_form, 10)
 
     def test_cancelled_form_small_values(self):
-        assert cancelled_form(1) == 1
-        assert cancelled_form(2) == 6
-        assert cancelled_form(7) == folded_form(7)
+        assert at(cancelled_form, 1) == 1
+        assert at(cancelled_form, 2) == 6
+        assert at(cancelled_form, 7) == at(folded_form, 7)
 
     def test_telescoped_form_small_values(self):
         # n=1 evaluates to 2*1*1 - 0 - 1*3 + 2*1 = 1
-        assert telescoped_form(1) == 1
-        assert telescoped_form(2) == 6
-        assert telescoped_form(12) == cancelled_form(12)
+        assert at(telescoped_form, 1) == 1
+        assert at(telescoped_form, 2) == 6
+        assert at(telescoped_form, 12) == at(cancelled_form, 12)
 
     def test_closure_sides(self):
-        assert closure_sides(1) == (4, 4)
-        assert closure_sides(2) == (72, 72)
-        lhs, rhs = closure_sides(5)
+        assert after_l6(closure_sides, 1) == (4, 4)
+        assert after_l6(closure_sides, 2) == (72, 72)
+        lhs, rhs = after_l6(closure_sides, 5)
         assert lhs == rhs
 
     def test_quantities_are_positive(self):
         for n in (1, 2, 5, 20):
             for form in ALL_FORMS:
-                assert form(n) > 0
+                assert at(form, n) > 0
 
-    @pytest.mark.parametrize("form", ALL_FORMS)
-    def test_degenerate_size_rejected(self, form):
+    def test_degenerate_size_rejected(self):
+        # n = 0 has no row 2n-2, so no line can be given rows for it
         with pytest.raises(ValueError):
-            form(0)
+            chain._Rows(0)
 
     def test_end_to_end_closure(self):
         # bypasses the intermediate lines entirely
         for n in range(1, 201):
             scale = 4 * (2 * n) * (2 * n - 1)
-            assert scale * telescoped_form(n) == 2 * n * n * math.comb(2 * n, n) ** 2
+            assert scale * at(telescoped_form, n) == 2 * n * n * math.comb(2 * n, n) ** 2
 
 
 class TestAlternativeFinish:
     def test_small_values(self):
-        one = alternative_finish(1)
+        one = after_l6(alternative_finish, 1)
         assert one.expression == 1
         assert one.closed_product == math.comb(0, 0) * math.comb(1, 0) == 1
-        two = alternative_finish(2)
+        two = after_l6(alternative_finish, 2)
         assert two.expression == 6
         assert two.closed_product == math.comb(2, 1) * math.comb(3, 1) == 6
 
     def test_parent_row_substitution_at_two(self):
         # sum_{i>=0} C(4,2+i) = 11 must equal 4X - C(2,1) + C(2,0) = 12 - 2 + 1
-        finish = alternative_finish(2)
+        finish = after_l6(alternative_finish, 2)
         assert finish.parent_row_sides == (11, 11)
         assert 4 * finish.x - 2 + 1 == 11
 
     def test_all_components_agree_over_range(self):
         for n in range(1, 101):
-            finish = alternative_finish(n)
+            finish = after_l6(alternative_finish, n)
             assert finish.all_equal, n
-            assert finish.telescoped == telescoped_form(n)
-
-    def test_degenerate_size_rejected(self):
-        with pytest.raises(ValueError):
-            alternative_finish(0)
+            assert finish.telescoped == line_value(n)
 
 
 class TestXValue:
@@ -121,12 +128,10 @@ class TestXValue:
 
     def test_matches_half_row_sum_one_size_down(self):
         for n in range(1, 501):
-            assert alternative_finish(n).x == half_row_sum(n - 1)
+            assert after_l6(alternative_finish, n).x == half_row_sum(n - 1)
 
     def test_degenerate_size_rejected(self):
-        # X needs row 2n-2, which n = 0 does not have
-        with pytest.raises(ValueError):
-            alternative_finish(0)
+        # X at n = 0 would be half of row -2
         with pytest.raises(ValueError):
             half_row_sum(-1)
 
@@ -171,28 +176,13 @@ class TestSharedRows:
     @pytest.mark.parametrize("form", ALL_FORMS)
     def test_forms_match_independent_oracle(self, form):
         for n in range(1, 151):
-            assert form(n) == line_value(n), n
-
-    @pytest.mark.parametrize("form", ALL_FORMS)
-    def test_interleaved_sizes_get_their_own_rows(self, form):
-        for n in (7, 8, 7, 1, 7):
-            assert form(n) == line_value(n), n
-
-    def test_interleaved_closure_and_finish(self):
-        for n in (7, 8, 7, 1, 7):
-            assert closure_sides(n) == (
-                4 * (2 * n - 1) * line_value(n),
-                n * math.comb(2 * n, n) ** 2,
-            )
-            finish = alternative_finish(n)
-            assert finish.expression == finish.telescoped == line_value(n)
-            assert finish.x == sum(math.comb(2 * n - 2, k) for k in range(n - 1, 2 * n - 1))
+            assert at(form, n) == line_value(n), n
 
     def test_verify_chain_evaluates_l6_once(self, monkeypatch):
         calls = []
         real = chain.telescoped_form
 
-        def counting(n, rows=None):
+        def counting(n, rows):
             calls.append(n)
             return real(n, rows)
 
