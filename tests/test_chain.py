@@ -89,10 +89,11 @@ class TestLineQuantities:
             for form in ALL_FORMS:
                 assert at(form, n) > 0
 
-    def test_degenerate_size_rejected(self):
+    @pytest.mark.parametrize("form", ALL_FORMS)
+    def test_degenerate_size_rejected(self, form):
         # n = 0 has no row 2n-2, so no line can be given rows for it
         with pytest.raises(ValueError):
-            chain._Rows(0)
+            at(form, 0)
 
     def test_end_to_end_closure(self):
         # bypasses the intermediate lines entirely
@@ -121,6 +122,10 @@ class TestAlternativeFinish:
             finish = after_l6(alternative_finish, n)
             assert finish.all_equal, n
             assert finish.telescoped == line_value(n)
+
+    def test_degenerate_size_rejected(self):
+        with pytest.raises(ValueError):
+            after_l6(alternative_finish, 0)
 
 
 class TestXValue:
