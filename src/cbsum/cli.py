@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import os
 import sys
+from dataclasses import replace
 from typing import Any
 
 import click
@@ -28,7 +29,7 @@ from . import __version__
 from .bench import DEFAULT_NAIVE_CUTOFF, skipped
 from .chain import CHAIN_COMPARISONS
 from .identity import Strategy
-from .report import DEFAULT_DIGEST_THRESHOLD, OutputFormat, RunConfig, render_report
+from .report import DEFAULT_DIGEST_THRESHOLD, OutputFormat, Report, RunConfig, render_report, rows_pass
 from .runs import run_bench, run_eval, run_steps, run_table, run_verify
 
 STRATEGY_NAMES = {s.value: s for s in Strategy}
@@ -74,17 +75,45 @@ def _choice_option(flag: str, field: str, by_name: dict[str, Any], **kwargs: Any
     return click.option(flag, field, type=click.Choice(sorted(by_name)), callback=pick, **kwargs)
 
 
+#: Characters of report held before they are written. Reports are ASCII, so
+#: one character is one byte. A write per part would be a system call per n
+#: on an unbuffered stdout (``PYTHONUNBUFFERED``).
+WRITE_CHUNK = 64 * 1024
+
+
 def _finish(runner, n_min: int, n_max: int, **fields: Any) -> None:
+    """Run ``runner``, writing its report part by part as it comes, and
+    exit with the code its rows call for."""
     ctx = click.get_current_context()
-    report = runner(RunConfig(ctx.command.name, n_min, n_max, **fields))
-    try:
-        click.echo(render_report(report), nl=False)
-    except BrokenPipeError:
-        # the reader is gone; point stdout at devnull so that the final
-        # flush at exit does not fail again, and exit as SIGPIPE would
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        ctx.exit(141)
-    ctx.exit(0 if report.all_passed else 1)
+    held: list[str] = []
+    size = 0
+    passed = first = True
+
+    def write() -> None:
+        try:
+            click.echo("".join(held), nl=False)
+        except BrokenPipeError:
+            # the reader is gone; point stdout at devnull so that the final
+            # flush at exit does not fail again, and exit as SIGPIPE would
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            ctx.exit(141)
+        held.clear()
+
+    def emit(part: Report) -> bool:
+        nonlocal size, passed, first
+        if first:  # the first part opens the report
+            part, first = replace(part, opens=True), False
+        held.append(render_report(part))
+        passed = rows_pass(part.rows) and passed
+        size += len(held[-1])
+        if size >= WRITE_CHUNK:
+            write()
+            size = 0
+        return passed
+
+    runner(RunConfig(ctx.command.name, n_min, n_max, **fields), emit)
+    write()
+    ctx.exit(0 if passed else 1)
 
 
 def _refuse_naive_above_cutoff(

@@ -1,12 +1,14 @@
 """Report shapes shared by all CLI commands.
 
 :class:`RunConfig` is a plain record of one run's settings; the CLI fills
-it and checks every input before building it. Every runner returns one
-:class:`Report`: the config, a list of result
-rows, the text lines and the CSV columns. ``all_passed`` is read off the
-rows. The three output formats encode the same values:
+it and checks every input before building it. A runner hands its report
+over in parts, one :class:`Report` per ``n`` and one closing part, and
+each part is rendered and written as it comes, so no run holds its whole
+report. The three output formats encode the same values:
 
-* json -- ``{"config": {...}, "results": [...], "all_passed": bool}``
+* json -- ``{"config": {...}, "results": [...], "all_passed": bool}``;
+          the part that opens the report carries the config, each part
+          its rows, and the closing part ``all_passed``
 * csv  -- one header plus one line per row; the check-style commands
           (verify, steps, bench) share the canonical header
           ``n,step_or_strategy,lhs_digest,rhs_digest,equal,duration_ns``
@@ -99,34 +101,65 @@ def rows_pass(rows: Sequence[Mapping[str, Any]]) -> bool:
 
 @dataclass(frozen=True)
 class Report:
-    """What one command produced, ready to render in any output format."""
+    """One part of what a command produced, ready to render in any output
+    format. Rendered one after another, a command's parts make its report.
+
+    The part written first ``opens`` the report: it adds the CSV header,
+    or the JSON config and the opening of the results. Unless it also
+    closes the report, it holds at least one row, the first ``n``'s, so
+    that the JSON separators fall right. The last part closes the report
+    and alone sets ``all_passed``: whether every row of the run passed.
+    """
 
     config: RunConfig
-    rows: Sequence[Mapping[str, Any]]
-    text: Sequence[str]
+    rows: Sequence[Mapping[str, Any]] = ()
+    text: Sequence[str] = ()
     columns: Sequence[str] = CSV_COLUMNS
+    opens: bool = False
+    all_passed: bool | None = None
 
-    @property
-    def all_passed(self) -> bool:
-        return rows_pass(self.rows)
+
+_JSON = json.JSONEncoder(indent=2)
+
+
+def _json(value: Any, depth: int) -> str:
+    """``value`` as ``json.dumps(..., indent=2)`` writes it ``depth`` levels deep."""
+    return _JSON.encode(value).replace("\n", "\n" + "  " * depth)
+
+
+def _csv_line(cells: Sequence[str]) -> str:
+    """``cells`` as one line of ``csv.writer(..., lineterminator="\n")``.
+
+    Cells that need no quoting are joined directly: a new writer per part
+    would cost each part the writer's 128 KiB line buffer.
+    """
+    line = ",".join(cells)
+    if line and line.count(",") == len(cells) - 1 and not any(c in line for c in '"\r\n'):
+        return line + "\n"
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow(cells)
+    return buffer.getvalue()
 
 
 def render_report(report: Report) -> str:
+    """The text of one part. A report's parts, rendered in order and
+    joined, give what ``json.dumps(payload, indent=2) + "\n"``, the csv
+    module or the command's text lines give for the whole report."""
     if report.config.output_format is OutputFormat.JSON:
-        payload = {
-            "config": report.config.to_dict(),
-            "results": [dict(row) for row in report.rows],
-            "all_passed": report.all_passed,
-        }
-        return json.dumps(payload, indent=2) + "\n"
+        out = []
+        if report.opens:
+            out.append('{\n  "config": ' + _json(report.config.to_dict(), 1) + ',\n  "results": [')
+        for i, row in enumerate(report.rows):
+            out.append(("\n" if report.opens and i == 0 else ",\n") + "    " + _json(dict(row), 2))
+        if report.all_passed is not None:
+            out.append("]" if report.opens and not report.rows else "\n  ]")
+            out.append(',\n  "all_passed": ' + json.dumps(report.all_passed) + "\n}\n")
+        return "".join(out)
     if report.config.output_format is OutputFormat.CSV:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(report.columns)
-        for row in report.rows:
-            writer.writerow([_cell(row.get(col)) for col in report.columns])
-        return buffer.getvalue()
-    return "\n".join(report.text) + ("\n" if report.text else "")
+        lines = [_csv_line(report.columns)] if report.opens else []
+        lines += (_csv_line([_cell(row.get(col)) for col in report.columns]) for row in report.rows)
+        return "".join(lines)
+    return "".join(line + "\n" for line in report.text)
 
 
 def describe_value(value: int, config: RunConfig) -> dict[str, Any]:

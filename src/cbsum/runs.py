@@ -1,10 +1,16 @@
-"""Command runners: turn a RunConfig into a :class:`~cbsum.report.Report`.
+"""Command runners: turn a RunConfig into a report, handed over in parts.
 
-Each runner returns one Report: its rows are the format-independent
-payload, its text lines the human-readable rendering, and its columns
-the CSV header. Whether the run passed is read off the rows. Runs over
-an n-range may fan out across worker processes, results are merged back
-in input order, so reports are deterministic for a fixed config.
+Each runner hands ``emit`` one :class:`~cbsum.report.Report` part per n, as
+soon as that n's rows are built, and then one closing part. A part holds
+that n's rows, the format-independent payload, and its text lines, the
+human-readable rendering; both are dropped once the part is written.
+``emit`` writes the part and returns whether every row written so far
+passed; the closing part carries that flag and the command's summary
+line, so no runner holds its whole report. The runner calls ``emit``
+rather than yielding its parts, so that one call of a runner spans its
+whole run. Runs over an n-range may fan out across worker processes,
+results are merged back in input order, so reports are deterministic for
+a fixed config.
 
 ``verify``, ``bench`` and ``steps`` go n by n: each n is checked on exact
 integers, then its rows are built by the one row builder, :func:`_check_rows`,
@@ -23,9 +29,10 @@ from .bench import BenchRecord, median_duration_ns, run_benchmark, timed
 from .chain import verify_chain_timed
 from .combinatorics import central_binomials
 from .digests import value_digest
-from .report import Report, RunConfig, describe_value, rows_pass
+from .report import Report, RunConfig, describe_value
 
 Row = dict[str, Any]
+Emit = Callable[[Report], bool]
 
 EVAL_CSV_COLUMNS = ("n", "strategy", "value", "digest", "digits", "duration_ns")
 TABLE_CSV_COLUMNS = ("n", "value", "digest", "digits")
@@ -108,7 +115,7 @@ def _measured(
 
 # --- eval -------------------------------------------------------------------
 
-def run_eval(config: RunConfig) -> Report:
+def run_eval(config: RunConfig, emit: Emit) -> None:
     n = config.n_min
     strategy = config.strategies_enabled[0]
     value, elapsed = timed(identity.EVALUATORS[strategy], n)
@@ -118,7 +125,7 @@ def run_eval(config: RunConfig) -> Report:
         text = [fields["value"]]
     else:
         text = [f"sha256:{fields['digest']} digits={fields['digits']}"]
-    return Report(config, [row], text, EVAL_CSV_COLUMNS)
+    emit(Report(config, [row], text, EVAL_CSV_COLUMNS, all_passed=True))
 
 
 # --- verify -----------------------------------------------------------------
@@ -127,13 +134,10 @@ def _verify_keys(record: BenchRecord, ref: BenchRecord | None) -> Row:
     return {"skipped": True} if record.skipped else {"reference": ref.strategy.name}
 
 
-def run_verify(config: RunConfig) -> Report:
-    rows: list[Row] = []
-    text = []
-    for n, _, group in _measured(config, _verify_keys):
-        rows += group
-        measured = [r for r in group if r["equal"] != "skipped"]
-        skipped = [r for r in group if r["equal"] == "skipped"]
+def run_verify(config: RunConfig, emit: Emit) -> None:
+    for n, _, rows in _measured(config, _verify_keys):
+        measured = [r for r in rows if r["equal"] != "skipped"]
+        skipped = [r for r in rows if r["equal"] == "skipped"]
         bad = [r for r in measured if r["equal"] is not True]
         note = f" ({', '.join(r['step_or_strategy'] for r in skipped)} skipped)" if skipped else ""
         if bad:
@@ -142,38 +146,30 @@ def run_verify(config: RunConfig) -> Report:
                 f"{r['reference']}={_short(r['rhs_digest'])}"
                 for r in bad
             )
-            text.append(f"n={n} MISMATCH {details}{note}")
+            line = f"n={n} MISMATCH {details}{note}"
         else:
-            text.append(f"n={n} ok ({len(measured)} strategies agree{note})")
-    text.append(
-        f"verify {config.n_min}..{config.n_max}: "
-        + ("all values agree" if rows_pass(rows) else "MISMATCH FOUND")
-    )
-    return Report(config, rows, text)
+            line = f"n={n} ok ({len(measured)} strategies agree{note})"
+        passed = emit(Report(config, rows, [line]))
+    summary = "all values agree" if passed else "MISMATCH FOUND"
+    emit(Report(config, text=[f"verify {config.n_min}..{config.n_max}: {summary}"], all_passed=passed))
 
 
 # --- steps ------------------------------------------------------------------
 
-def run_steps(config: RunConfig) -> Report:
+def run_steps(config: RunConfig, emit: Emit) -> None:
     ns = list(range(config.n_min, config.n_max + 1))
     enabled = set(config.steps_enabled)
-    rows: list[Row] = []
-    text: list[str] = []
     for n, reports in zip(ns, _map_over(verify_chain_timed, ns, config.parallelism)):
         checks = (
             (report.step.name, report.lhs, report.rhs, report.equal, elapsed, {})
             for report, elapsed in reports
             if report.step in enabled
         )
-        for row in _check_rows(n, checks):
-            rows.append(row)
-            mark = "ok" if row["equal"] else "MISMATCH"
-            text.append(f"n={n} {row['step_or_strategy']:<15} {mark}")
-    text.append(
-        f"steps {config.n_min}..{config.n_max}: "
-        + ("every step holds" if rows_pass(rows) else "STEP MISMATCH FOUND")
-    )
-    return Report(config, rows, text)
+        rows = _check_rows(n, checks)
+        text = [f"n={n} {r['step_or_strategy']:<15} {'ok' if r['equal'] else 'MISMATCH'}" for r in rows]
+        passed = emit(Report(config, rows, text))
+    summary = "every step holds" if passed else "STEP MISMATCH FOUND"
+    emit(Report(config, text=[f"steps {config.n_min}..{config.n_max}: {summary}"], all_passed=passed))
 
 
 # --- bench ------------------------------------------------------------------
@@ -182,13 +178,11 @@ def _bench_keys(record: BenchRecord, ref: BenchRecord | None) -> Row:
     return {"repetition": None if record.skipped else record.repetition, "skipped": record.skipped}
 
 
-def run_bench(config: RunConfig) -> Report:
-    rows: list[Row] = []
-    text = []
+def run_bench(config: RunConfig, emit: Emit) -> None:
     timings: list[BenchRecord] = []  # for the medians, without the values
-    for _, records, group in _measured(config, _bench_keys):
-        rows += group
-        for record, row in zip(records, group):
+    for _, records, rows in _measured(config, _bench_keys):
+        text = []
+        for record, row in zip(records, rows):
             if record.skipped:
                 text.append(
                     f"n={record.n} {record.strategy.name:<12} skipped "
@@ -200,28 +194,31 @@ def run_bench(config: RunConfig) -> Report:
                     f"{record.duration_ns / 1e6:10.3f} ms  digest={_short(row['lhs_digest'])}"
                 )
             timings.append(replace(record, value=None))
-    for strategy in config.strategies_enabled:
-        if any(r.strategy is strategy and not r.skipped for r in timings):
-            median = median_duration_ns(timings, strategy)
-            text.append(f"median {strategy.name:<12} {median / 1e6:10.3f} ms")
-    text.append("digests consistent" if rows_pass(rows) else "DIGEST MISMATCH")
-    return Report(config, rows, text)
+        passed = emit(Report(config, rows, text))
+    text = [
+        f"median {strategy.name:<12} {median_duration_ns(timings, strategy) / 1e6:10.3f} ms"
+        for strategy in config.strategies_enabled
+        if any(r.strategy is strategy and not r.skipped for r in timings)
+    ]
+    text.append("digests consistent" if passed else "DIGEST MISMATCH")
+    emit(Report(config, text=text, all_passed=passed))
 
 
 # --- table ------------------------------------------------------------------
 
-def run_table(config: RunConfig) -> Report:
+def run_table(config: RunConfig, emit: Emit) -> None:
     strategy = config.strategies_enabled[0]
     ns = range(config.n_min, config.n_max + 1)
     if strategy is identity.Strategy.CLOSED_FORM:
         values = map(identity.evaluate_closed_form, ns, central_binomials(ns))
     else:
         values = map(identity.EVALUATORS[strategy], ns)
-    rows: list[Row] = []
-    text = [f"{'n':>8}  {'digits':>8}  value"]
     for n, value in zip(ns, values):
         fields = describe_value(value, config)
-        rows.append({"n": n, **fields})
         shown = fields["value"] if fields["value"] is not None else f"sha256:{_short(fields['digest'])}..."
-        text.append(f"{n:>8}  {fields['digits']:>8}  {shown}")
-    return Report(config, rows, text, TABLE_CSV_COLUMNS)
+        text = [f"{n:>8}  {fields['digits']:>8}  {shown}"]
+        if n == config.n_min:  # the part that opens the report
+            text.insert(0, f"{'n':>8}  {'digits':>8}  value")
+        emit(Report(config, [{"n": n, **fields}], text, TABLE_CSV_COLUMNS))
+    # table rows compare nothing, so they cannot fail the run
+    emit(Report(config, all_passed=True))

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface and its report formats."""
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -9,7 +10,9 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import time
+import tracemalloc
 from concurrent.futures import Future
 from pathlib import Path
 from unittest import mock
@@ -641,10 +644,15 @@ def test_equality_is_decided_on_integers_not_digests(runner, monkeypatch):
     assert "DIGEST MISMATCH" in bench.output
 
 
-@pytest.mark.parametrize("argv", [["eval", "--n", "2"], ["verify", "--range", "0..3"]])
-def test_closed_stdout_exits_141(argv):
+def cli_env() -> dict[str, str]:
+    """The environment for ``python -m cbsum.cli`` with this package first on the path."""
     src = Path(cbsum.__file__).resolve().parent.parent
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+@pytest.mark.parametrize("argv", [["eval", "--n", "2"], ["verify", "--range", "0..3"]])
+def test_closed_stdout_exits_141(argv):
     read_end, write_end = os.pipe()
     os.close(read_end)  # the reader is gone before the report is written
     try:
@@ -652,13 +660,88 @@ def test_closed_stdout_exits_141(argv):
             [sys.executable, "-m", "cbsum.cli", *argv],
             stdout=write_end,
             stderr=subprocess.PIPE,
-            env={**os.environ, "PYTHONPATH": path},
+            env=cli_env(),
             timeout=60,
         )
     finally:
         os.close(write_end)
     assert result.returncode == 141
     assert result.stderr == b""
+
+
+def test_reader_that_leaves_mid_report_stops_the_run():
+    # the whole table would take hours: only a run that stops at the first
+    # write after the reader left finishes in time
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cbsum.cli", "table", "--range", "0..100000", "--format", "csv"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=cli_env(),
+    )
+    watchdog = threading.Timer(60, proc.kill)  # a run that goes on fails, not hangs
+    watchdog.start()
+    try:
+        head = proc.stdout.read(64 * 1024)
+        proc.stdout.close()
+        code = proc.wait()
+        stderr = proc.stderr.read()
+    finally:
+        watchdog.cancel()
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert len(head) == 64 * 1024
+    assert code == 141
+    assert stderr == b""
+
+
+@pytest.mark.parametrize("output_format", ["json", "text"])
+def test_crash_mid_stream_never_reads_as_a_pass(runner, monkeypatch, output_format):
+    real = identity.evaluate_naive
+
+    def fails_at_5(n):
+        if n == 5:
+            raise RuntimeError("simulated")
+        return real(n)
+
+    monkeypatch.setitem(identity.EVALUATORS, Strategy.NAIVE, fails_at_5)
+    result = runner.invoke(main, ["verify", "--range", "0..5", "--format", output_format])
+    assert result.exit_code == 3
+    assert "Traceback (most recent call last)" in result.stderr
+    assert "RuntimeError: simulated" in result.stderr
+    assert "all_passed" not in result.stdout
+    assert "all values agree" not in result.stdout
+
+
+def traced_peak(argv: list[str]) -> int:
+    """Peak bytes that Python allocates above its level at the start of the
+    call, with stdout sent where nothing holds it."""
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            assert main.main(argv, standalone_mode=False) == 0
+            return tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "command,first,last,output_format",
+    [("table", 0, 2000, "csv"), ("steps", 1, 200, "json")],
+)
+def test_peak_memory_does_not_grow_with_range(monkeypatch, command, first, last, output_format):
+    # the chain's reference sums make O(n^2) allocations at each n, which
+    # tracemalloc slows some 40-fold; the closed form has their values, so
+    # the report is the same
+    monkeypatch.setattr(chain, "evaluate_naive", identity.evaluate_closed_form)
+    monkeypatch.setattr(chain, "evaluate_symmetrized", identity.evaluate_closed_form)
+    # the same largest n, so the two runs differ only in how many n they cover
+    short = [command, "--range", f"{last - 9}..{last}", "--format", output_format]
+    traced_peak(short)  # first call: lazy imports and caches
+    slack = 256 * 1024
+    wide = traced_peak([command, "--range", f"{first}..{last}", "--format", output_format])
+    assert wide <= traced_peak(short) + slack
 
 
 class TestNaiveCutoffOnValueCommands:
