@@ -287,7 +287,7 @@ def steps_cmd(range_spec: str, **fields: Any) -> None:
 @format_option
 @cutoff_option
 def bench_cmd(n: int | None, range_spec: str | None, **fields: Any) -> None:
-    """Time the strategies and cross-check their result digests."""
+    """Time the strategies and cross-check their values."""
     if (n is None) == (range_spec is None):
         raise click.UsageError("provide exactly one of --n or --range")
     n_min, n_max = (n, n) if n is not None else parse_range(range_spec)

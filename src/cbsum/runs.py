@@ -200,7 +200,7 @@ def run_bench(config: RunConfig, emit: Emit) -> None:
         for strategy in config.strategies_enabled
         if any(r.strategy is strategy and not r.skipped for r in timings)
     ]
-    text.append("digests consistent" if passed else "DIGEST MISMATCH")
+    text.append("values consistent" if passed else "VALUE MISMATCH")
     emit(Report(config, text=text, all_passed=passed))
 
 

@@ -301,7 +301,7 @@ class TestBench:
             ["bench", "--n", "4", "--strategy", "closed-form", "--repetitions", "3"],
         )
         assert result.exit_code == 1
-        assert "DIGEST MISMATCH" in result.output
+        assert "VALUE MISMATCH" in result.output
 
     def test_strategy_subset(self, runner):
         result = runner.invoke(
@@ -641,7 +641,7 @@ def test_equality_is_decided_on_integers_not_digests(runner, monkeypatch):
     assert "MISMATCH FOUND" in verify.output
     bench = runner.invoke(main, ["bench", "--n", "3", "--repetitions", "1"])
     assert bench.exit_code == 1, bench.output
-    assert "DIGEST MISMATCH" in bench.output
+    assert "VALUE MISMATCH" in bench.output
 
 
 def cli_env() -> dict[str, str]:

@@ -9,7 +9,9 @@ verify and bench shared one measure-and-compare path; the full-decimal,
 digest-threshold, threshold-crossing table and bench text fixtures from
 the code before every runner returned one report value; the crossover,
 one-row and reference-strategy table fixtures from the code before
-``table`` swept C(2n,n) across its range. A refactor or optimisation that
+``table`` swept C(2n,n) across its range. The bench text fixture's last
+line was re-recorded when bench's summary came to name values, which it
+compares, not digests. A refactor or optimisation that
 changes a single output byte fails here. The eval sizes straddle the
 kernel's crossover (``PRIME_KERNEL_CROSSOVER``); the check calls cover
 skipped naive rows, strategy and step subsets, and repetitions.
