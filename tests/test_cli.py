@@ -25,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 import cbsum
 from cbsum import chain, combinatorics, digests, identity, report, runs
 from cbsum.chain import CHAIN_COMPARISONS, StepId
-from cbsum.cli import main, parse_range
+from cbsum.cli import WRITE_CHUNK, main, parse_range
 from cbsum.identity import Strategy
 
 from oracle import closed_form_by_comb
@@ -739,7 +739,8 @@ def test_peak_memory_does_not_grow_with_range(monkeypatch, command, first, last,
     # the same largest n, so the two runs differ only in how many n they cover
     short = [command, "--range", f"{last - 9}..{last}", "--format", output_format]
     traced_peak(short)  # first call: lazy imports and caches
-    slack = 256 * 1024
+    # the parts held for one write, their join and its encoded copy
+    slack = 4 * WRITE_CHUNK
     wide = traced_peak([command, "--range", f"{first}..{last}", "--format", output_format])
     assert wide <= traced_peak(short) + slack
 
