@@ -127,18 +127,10 @@ def _json(value: Any, depth: int) -> str:
     return _JSON.encode(value).replace("\n", "\n" + "  " * depth)
 
 
-def _csv_line(cells: Sequence[str]) -> str:
-    """``cells`` as one line of ``csv.writer(..., lineterminator="\n")``.
-
-    Cells that need no quoting are joined directly: a new writer per part
-    would cost each part the writer's 128 KiB line buffer.
-    """
-    line = ",".join(cells)
-    if line and line.count(",") == len(cells) - 1 and not any(c in line for c in '"\r\n'):
-        return line + "\n"
-    buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="\n").writerow(cells)
-    return buffer.getvalue()
+#: One CSV writer for every part; its buffer is emptied before each part,
+#: so its record buffer is allocated once, not once per part.
+_CSV_BUFFER = io.StringIO()
+_CSV = csv.writer(_CSV_BUFFER, lineterminator="\n")
 
 
 def render_report(report: Report) -> str:
@@ -149,16 +141,22 @@ def render_report(report: Report) -> str:
         out = []
         if report.opens:
             out.append('{\n  "config": ' + _json(report.config.to_dict(), 1) + ',\n  "results": [')
-        for i, row in enumerate(report.rows):
-            out.append(("\n" if report.opens and i == 0 else ",\n") + "    " + _json(dict(row), 2))
+        if report.rows:
+            # the rows as one list, one level deep, without its brackets:
+            # "\n    {...},\n    {...}"
+            rows = _json([dict(row) for row in report.rows], 1)[1 : -len("\n  ]")]
+            out.append(rows if report.opens else "," + rows)
         if report.all_passed is not None:
             out.append("]" if report.opens and not report.rows else "\n  ]")
             out.append(',\n  "all_passed": ' + json.dumps(report.all_passed) + "\n}\n")
         return "".join(out)
     if report.config.output_format is OutputFormat.CSV:
-        lines = [_csv_line(report.columns)] if report.opens else []
-        lines += (_csv_line([_cell(row.get(col)) for col in report.columns]) for row in report.rows)
-        return "".join(lines)
+        _CSV_BUFFER.seek(0)
+        _CSV_BUFFER.truncate(0)
+        if report.opens:
+            _CSV.writerow(report.columns)
+        _CSV.writerows([_cell(row.get(col)) for col in report.columns] for row in report.rows)
+        return _CSV_BUFFER.getvalue()
     return "".join(line + "\n" for line in report.text)
 
 
