@@ -23,7 +23,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 import cbsum
-from cbsum import chain, combinatorics, digests, identity, report, runs
+from cbsum import chain, cli, combinatorics, digests, identity, report, runs
 from cbsum.chain import CHAIN_COMPARISONS, StepId
 from cbsum.cli import WRITE_CHUNK, main, parse_range
 from cbsum.identity import Strategy
@@ -705,10 +705,14 @@ def test_crash_mid_stream_never_reads_as_a_pass(runner, monkeypatch, output_form
         return real(n)
 
     monkeypatch.setitem(identity.EVALUATORS, Strategy.NAIVE, fails_at_5)
+    # each part is written as soon as it is rendered, so the rows of the
+    # n before the crash are already out when it comes
+    monkeypatch.setattr(cli, "WRITE_CHUNK", 1)
     result = runner.invoke(main, ["verify", "--range", "0..5", "--format", output_format])
     assert result.exit_code == 3
     assert "Traceback (most recent call last)" in result.stderr
     assert "RuntimeError: simulated" in result.stderr
+    assert ('"n": 4,' if output_format == "json" else "n=4 ok") in result.stdout
     assert "all_passed" not in result.stdout
     assert "all values agree" not in result.stdout
 
