@@ -6,6 +6,7 @@ representation plus a digit count instead of printing them in full.
 """
 from __future__ import annotations
 
+import hashlib
 import sys
 
 #: Widest value, in bits, that :func:`decimal_str` hands to ``str(int)``
@@ -101,10 +102,6 @@ def decimal_digits(value: int) -> int:
 
 def text_digest(text: str) -> str:
     """SHA-256 hex digest of a decimal representation already built."""
-    # hashlib maps OpenSSL, 3.6 MB resident: a call that digests nothing
-    # never loads it, and a cold start compiles cbsum before it is mapped
-    import hashlib
-
     return hashlib.sha256(text.encode("ascii")).hexdigest()
 
 
