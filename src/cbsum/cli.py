@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import os
 import sys
-from dataclasses import replace
 from typing import Any
 
 import click
@@ -29,7 +28,7 @@ from . import __version__
 from .bench import DEFAULT_NAIVE_CUTOFF, skipped
 from .chain import CHAIN_COMPARISONS
 from .identity import Strategy
-from .report import DEFAULT_DIGEST_THRESHOLD, OutputFormat, Report, RunConfig, render_report, rows_pass
+from .report import DEFAULT_DIGEST_THRESHOLD, OutputFormat, RunConfig, render_report, rows_pass
 from .runs import run_bench, run_eval, run_steps, run_table, run_verify
 
 STRATEGY_NAMES = {s.value: s for s in Strategy}
@@ -83,11 +82,14 @@ WRITE_CHUNK = 64 * 1024
 
 def _finish(runner, n_min: int, n_max: int, **fields: Any) -> None:
     """Run ``runner``, writing its report part by part as it comes, and
-    exit with the code its rows call for."""
+    exit with the code its rows call for. The first part opens the report;
+    the lines ``runner`` returns close it, with ``all_passed`` read off the
+    same running flag as the exit code."""
     ctx = click.get_current_context()
+    config = RunConfig(ctx.command.name, n_min, n_max, **fields)
     held: list[str] = []
     size = 0
-    passed = first = True
+    passed = opens = True
 
     def write() -> None:
         try:
@@ -99,19 +101,19 @@ def _finish(runner, n_min: int, n_max: int, **fields: Any) -> None:
             ctx.exit(141)
         held.clear()
 
-    def emit(part: Report) -> bool:
-        nonlocal size, passed, first
-        if first:  # the first part opens the report
-            part, first = replace(part, opens=True), False
-        held.append(render_report(part))
-        passed = rows_pass(part.rows) and passed
+    def emit(rows: list[dict[str, Any]], text: list[str]) -> bool:
+        nonlocal size, passed, opens
+        held.append(render_report(config, rows, text, opens))
+        opens = False
+        passed = rows_pass(rows) and passed
         size += len(held[-1])
         if size >= WRITE_CHUNK:
             write()
             size = 0
         return passed
 
-    runner(RunConfig(ctx.command.name, n_min, n_max, **fields), emit)
+    closing = runner(config, emit)
+    held.append(render_report(config, [], closing, False, passed))
     write()
     ctx.exit(0 if passed else 1)
 

@@ -1,10 +1,10 @@
 """Report shapes shared by all CLI commands.
 
 :class:`RunConfig` is a plain record of one run's settings; the CLI fills
-it and checks every input before building it. A runner hands its report
-over in parts, one :class:`Report` per ``n`` and one closing part, and
-each part is rendered and written as it comes, so no run holds its whole
-report. The three output formats encode the same values:
+it and checks every input before building it. A report is rendered and
+written in parts as the run goes, one part per ``n`` and one closing
+part, so no run holds its whole report. The three output formats encode
+the same values:
 
 * json -- ``{"config": {...}, "results": [...], "all_passed": bool}``;
           the part that opens the report carries the config, each part
@@ -35,6 +35,8 @@ from .identity import Strategy
 
 #: Canonical CSV columns for comparison-style reports.
 CSV_COLUMNS = ("n", "step_or_strategy", "lhs_digest", "rhs_digest", "equal", "duration_ns")
+EVAL_CSV_COLUMNS = ("n", "strategy", "value", "digest", "digits", "duration_ns")
+TABLE_CSV_COLUMNS = ("n", "value", "digest", "digits")
 
 #: Above this many decimal digits, machine output switches from the full
 #: decimal value to digest + digit count (unless full_decimal is set).
@@ -99,26 +101,6 @@ def rows_pass(rows: Sequence[Mapping[str, Any]]) -> bool:
     return all(row.get("equal") is not False for row in rows)
 
 
-@dataclass(frozen=True)
-class Report:
-    """One part of what a command produced, ready to render in any output
-    format. Rendered one after another, a command's parts make its report.
-
-    The part written first ``opens`` the report: it adds the CSV header,
-    or the JSON config and the opening of the results. Unless it also
-    closes the report, it holds at least one row, the first ``n``'s, so
-    that the JSON separators fall right. The last part closes the report
-    and alone sets ``all_passed``: whether every row of the run passed.
-    """
-
-    config: RunConfig
-    rows: Sequence[Mapping[str, Any]] = ()
-    text: Sequence[str] = ()
-    columns: Sequence[str] = CSV_COLUMNS
-    opens: bool = False
-    all_passed: bool | None = None
-
-
 _JSON = json.JSONEncoder(indent=2)
 
 
@@ -133,31 +115,40 @@ _CSV_BUFFER = io.StringIO()
 _CSV = csv.writer(_CSV_BUFFER, lineterminator="\n")
 
 
-def render_report(report: Report) -> str:
-    """The text of one part. A report's parts, rendered in order and
-    joined, give what ``json.dumps(payload, indent=2) + "\n"``, the csv
-    module or the command's text lines give for the whole report."""
-    if report.config.output_format is OutputFormat.JSON:
+def render_report(
+    config: RunConfig,
+    rows: Sequence[dict[str, Any]],
+    text: Sequence[str],
+    opens: bool,
+    all_passed: bool | None = None,
+) -> str:
+    """The text of one part of a report: ``rows`` and ``text`` lines, with
+    the CSV header or the JSON config if it ``opens`` the report, and with
+    ``all_passed`` if it closes it. The part that opens the report holds
+    the first ``n``'s rows. A report's parts, rendered in order and joined,
+    give what ``json.dumps(payload, indent=2) + "\n"``, the csv module or
+    the command's text lines give for the whole report."""
+    if config.output_format is OutputFormat.JSON:
         out = []
-        if report.opens:
-            out.append('{\n  "config": ' + _json(report.config.to_dict(), 1) + ',\n  "results": [')
-        if report.rows:
+        if opens:
+            out.append('{\n  "config": ' + _json(config.to_dict(), 1) + ',\n  "results": [')
+        if rows:
             # the rows as one list, one level deep, without its brackets:
             # "\n    {...},\n    {...}"
-            rows = _json([dict(row) for row in report.rows], 1)[1 : -len("\n  ]")]
-            out.append(rows if report.opens else "," + rows)
-        if report.all_passed is not None:
-            out.append("]" if report.opens and not report.rows else "\n  ]")
-            out.append(',\n  "all_passed": ' + json.dumps(report.all_passed) + "\n}\n")
+            encoded = _json(rows, 1)[1 : -len("\n  ]")]
+            out.append(encoded if opens else "," + encoded)
+        if all_passed is not None:
+            out.append('\n  ],\n  "all_passed": ' + json.dumps(all_passed) + "\n}\n")
         return "".join(out)
-    if report.config.output_format is OutputFormat.CSV:
+    if config.output_format is OutputFormat.CSV:
+        columns = {"eval": EVAL_CSV_COLUMNS, "table": TABLE_CSV_COLUMNS}.get(config.command, CSV_COLUMNS)
         _CSV_BUFFER.seek(0)
         _CSV_BUFFER.truncate(0)
-        if report.opens:
-            _CSV.writerow(report.columns)
-        _CSV.writerows([_cell(row.get(col)) for col in report.columns] for row in report.rows)
+        if opens:
+            _CSV.writerow(columns)
+        _CSV.writerows([_cell(row.get(col)) for col in columns] for row in rows)
         return _CSV_BUFFER.getvalue()
-    return "".join(line + "\n" for line in report.text)
+    return "".join(line + "\n" for line in text)
 
 
 def describe_value(value: int, config: RunConfig) -> dict[str, Any]:

@@ -1,16 +1,16 @@
-"""Command runners: turn a RunConfig into a report, handed over in parts.
+"""Command runners: turn a RunConfig into a report, handed over n by n.
 
-Each runner hands ``emit`` one :class:`~cbsum.report.Report` part per n, as
-soon as that n's rows are built, and then one closing part. A part holds
-that n's rows, the format-independent payload, and its text lines, the
-human-readable rendering; both are dropped once the part is written.
-``emit`` writes the part and returns whether every row written so far
-passed; the closing part carries that flag and the command's summary
-line, so no runner holds its whole report. The runner calls ``emit``
-rather than yielding its parts, so that one call of a runner spans its
-whole run. Runs over an n-range may fan out across worker processes,
-results are merged back in input order, so reports are deterministic for
-a fixed config.
+Each runner calls ``emit(rows, text)`` once per n, as soon as that n's rows
+are built: the rows are the format-independent payload, the text lines the
+human-readable rendering, and both are dropped once written. ``emit``
+returns whether every row written so far passed, which sets the runner's
+summary line. The runner returns the lines that close its report; the CLI
+renders and writes everything, so no runner holds its whole report, names
+a column or decides whether the run passed. The runner calls ``emit``
+rather than yielding, so that one call of a runner spans its whole run.
+Runs over an n-range may fan out across worker processes, results are
+merged back in input order, so reports are deterministic for a fixed
+config.
 
 ``verify``, ``bench`` and ``steps`` go n by n: each n is checked on exact
 integers, then its rows are built by the one row builder, :func:`_check_rows`,
@@ -29,13 +29,10 @@ from .bench import BenchRecord, median_duration_ns, run_benchmark, timed
 from .chain import verify_chain_timed
 from .combinatorics import central_binomials
 from .digests import value_digest
-from .report import Report, RunConfig, describe_value
+from .report import RunConfig, describe_value
 
 Row = dict[str, Any]
-Emit = Callable[[Report], bool]
-
-EVAL_CSV_COLUMNS = ("n", "strategy", "value", "digest", "digits", "duration_ns")
-TABLE_CSV_COLUMNS = ("n", "value", "digest", "digits")
+Emit = Callable[[list[Row], list[str]], bool]
 
 
 def ProcessPoolExecutor(max_workers: int) -> Any:
@@ -115,7 +112,7 @@ def _measured(
 
 # --- eval -------------------------------------------------------------------
 
-def run_eval(config: RunConfig, emit: Emit) -> None:
+def run_eval(config: RunConfig, emit: Emit) -> list[str]:
     n = config.n_min
     strategy = config.strategies_enabled[0]
     value, elapsed = timed(identity.EVALUATORS[strategy], n)
@@ -125,7 +122,8 @@ def run_eval(config: RunConfig, emit: Emit) -> None:
         text = [fields["value"]]
     else:
         text = [f"sha256:{fields['digest']} digits={fields['digits']}"]
-    emit(Report(config, [row], text, EVAL_CSV_COLUMNS, all_passed=True))
+    emit([row], text)
+    return []
 
 
 # --- verify -----------------------------------------------------------------
@@ -134,7 +132,7 @@ def _verify_keys(record: BenchRecord, ref: BenchRecord | None) -> Row:
     return {"skipped": True} if record.skipped else {"reference": ref.strategy.name}
 
 
-def run_verify(config: RunConfig, emit: Emit) -> None:
+def run_verify(config: RunConfig, emit: Emit) -> list[str]:
     for n, _, rows in _measured(config, _verify_keys):
         measured = [r for r in rows if r["equal"] != "skipped"]
         skipped = [r for r in rows if r["equal"] == "skipped"]
@@ -149,14 +147,14 @@ def run_verify(config: RunConfig, emit: Emit) -> None:
             line = f"n={n} MISMATCH {details}{note}"
         else:
             line = f"n={n} ok ({len(measured)} strategies agree{note})"
-        passed = emit(Report(config, rows, [line]))
+        passed = emit(rows, [line])
     summary = "all values agree" if passed else "MISMATCH FOUND"
-    emit(Report(config, text=[f"verify {config.n_min}..{config.n_max}: {summary}"], all_passed=passed))
+    return [f"verify {config.n_min}..{config.n_max}: {summary}"]
 
 
 # --- steps ------------------------------------------------------------------
 
-def run_steps(config: RunConfig, emit: Emit) -> None:
+def run_steps(config: RunConfig, emit: Emit) -> list[str]:
     ns = list(range(config.n_min, config.n_max + 1))
     enabled = set(config.steps_enabled)
     for n, reports in zip(ns, _map_over(verify_chain_timed, ns, config.parallelism)):
@@ -167,9 +165,9 @@ def run_steps(config: RunConfig, emit: Emit) -> None:
         )
         rows = _check_rows(n, checks)
         text = [f"n={n} {r['step_or_strategy']:<15} {'ok' if r['equal'] else 'MISMATCH'}" for r in rows]
-        passed = emit(Report(config, rows, text))
+        passed = emit(rows, text)
     summary = "every step holds" if passed else "STEP MISMATCH FOUND"
-    emit(Report(config, text=[f"steps {config.n_min}..{config.n_max}: {summary}"], all_passed=passed))
+    return [f"steps {config.n_min}..{config.n_max}: {summary}"]
 
 
 # --- bench ------------------------------------------------------------------
@@ -178,7 +176,7 @@ def _bench_keys(record: BenchRecord, ref: BenchRecord | None) -> Row:
     return {"repetition": None if record.skipped else record.repetition, "skipped": record.skipped}
 
 
-def run_bench(config: RunConfig, emit: Emit) -> None:
+def run_bench(config: RunConfig, emit: Emit) -> list[str]:
     timings: list[BenchRecord] = []  # for the medians, without the values
     for _, records, rows in _measured(config, _bench_keys):
         text = []
@@ -194,19 +192,19 @@ def run_bench(config: RunConfig, emit: Emit) -> None:
                     f"{record.duration_ns / 1e6:10.3f} ms  digest={_short(row['lhs_digest'])}"
                 )
             timings.append(replace(record, value=None))
-        passed = emit(Report(config, rows, text))
+        passed = emit(rows, text)
     text = [
         f"median {strategy.name:<12} {median_duration_ns(timings, strategy) / 1e6:10.3f} ms"
         for strategy in config.strategies_enabled
         if any(r.strategy is strategy and not r.skipped for r in timings)
     ]
     text.append("values consistent" if passed else "VALUE MISMATCH")
-    emit(Report(config, text=text, all_passed=passed))
+    return text
 
 
 # --- table ------------------------------------------------------------------
 
-def run_table(config: RunConfig, emit: Emit) -> None:
+def run_table(config: RunConfig, emit: Emit) -> list[str]:
     strategy = config.strategies_enabled[0]
     ns = range(config.n_min, config.n_max + 1)
     if strategy is identity.Strategy.CLOSED_FORM:
@@ -219,6 +217,5 @@ def run_table(config: RunConfig, emit: Emit) -> None:
         text = [f"{n:>8}  {fields['digits']:>8}  {shown}"]
         if n == config.n_min:  # the part that opens the report
             text.insert(0, f"{'n':>8}  {'digits':>8}  value")
-        emit(Report(config, [{"n": n, **fields}], text, TABLE_CSV_COLUMNS))
-    # table rows compare nothing, so they cannot fail the run
-    emit(Report(config, all_passed=True))
+        emit([{"n": n, **fields}], text)
+    return []

@@ -98,7 +98,7 @@ def digits_off(fn):
 
 
 def last_line_dropped(fn: Callable[..., str]) -> Callable[..., str]:
-    return lambda report: "".join(fn(report).splitlines(keepends=True)[:-1])
+    return lambda *part: "".join(fn(*part).splitlines(keepends=True)[:-1])
 
 
 # (binding, fault, argv, expected catch, other bindings set for the call)
