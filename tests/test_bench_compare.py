@@ -1,0 +1,75 @@
+"""``tools/bench_compare.py`` on the committed snapshots of one change."""
+from __future__ import annotations
+
+import importlib.util
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "tools" / "bench_compare.py"
+BASE, CHANGE = ROOT / "BENCH_pr14-parent.json", ROOT / "BENCH_pr14.json"
+
+
+@pytest.fixture(scope="module")
+def bench_compare():
+    spec = importlib.util.spec_from_file_location("bench_compare", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_verdicts_on_committed_pair(bench_compare):
+    rows = bench_compare.compare(
+        json.loads(BASE.read_text()),
+        json.loads(CHANGE.read_text()),
+        json.loads((ROOT / "BENCHMARK.json").read_text()),
+    )
+    by_key = {(r["workload"], r["metric"]): r for r in rows}
+    assert len(by_key) == len(rows) == 12
+    for workload in ("wide-table", "chain-steps"):
+        row = by_key[workload, "peak_rss_mb"]
+        assert (row["better"], row["worse"], row["pairs"]) == (10, 0, 10)
+        assert row["verdict"] == "ok"
+    for workload in ("chain-steps", "crosscheck"):
+        assert by_key[workload, "wall_s"]["verdict"] == "unresolved"
+    assert {r["verdict"] for r in rows} == {"ok", "unresolved"}
+
+
+def run(*paths: Path) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, str(SCRIPT), *map(str, paths)], capture_output=True, text=True, timeout=60)
+
+
+def test_committed_pair_exits_0():
+    result = run(BASE, CHANGE)
+    assert result.returncode == 0, result.stderr
+    assert len(result.stdout.splitlines()) == 1 + 12
+
+
+def test_worse_median_exits_1(tmp_path):
+    # every chain-steps run of the change 0.2 MB above the base's median,
+    # twice the metric's bound, with the base's quartiles all but equal
+    change = json.loads(CHANGE.read_text())
+    base_rss = json.loads(BASE.read_text())["workloads"]["chain-steps"]["metrics"]["peak_rss_mb"]
+    worse = base_rss["median"] + 0.2
+    change["workloads"]["chain-steps"]["metrics"]["peak_rss_mb"].update(
+        median=worse, q1=worse, q3=worse, values=[worse] * 10
+    )
+    path = tmp_path / "BENCH_worse.json"
+    path.write_text(json.dumps(change))
+    result = run(BASE, path)
+    assert result.returncode == 1
+    assert any(line.startswith("chain-steps  peak_rss_mb") and line.endswith("worse") for line in result.stdout.splitlines())
+
+
+def test_different_seeds_are_refused(tmp_path):
+    change = json.loads(CHANGE.read_text())
+    change["seeds"] = [s + 1 for s in change["seeds"]]
+    path = tmp_path / "BENCH_other_seeds.json"
+    path.write_text(json.dumps(change))
+    result = run(BASE, path)
+    assert result.returncode == 2
+    assert "different seeds" in result.stderr

@@ -630,6 +630,25 @@ class TestEmbedded:
             main.main(["eval", "--n", "-1"], standalone_mode=False)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--n", "2"],
+        ["verify", "--range", "2..3"],
+        ["steps", "--range", "1..2"],
+        ["bench", "--n", "2", "--repetitions", "1"],
+        ["table", "--range", "0..2"],
+    ],
+)
+def test_exit_code_and_all_passed_share_one_flag(runner, monkeypatch, argv):
+    # a run that fails with no row unequal: the report can say so only if
+    # it reads the flag that sets the exit code
+    monkeypatch.setattr(cli, "rows_pass", lambda rows: False)
+    result = runner.invoke(main, argv + ["--format", "json"])
+    assert result.exit_code == 1, result.output
+    assert json.loads(result.output)["all_passed"] is False
+
+
 def test_equality_is_decided_on_integers_not_digests(runner, monkeypatch):
     # two faults that hide each other from a digest comparison: naive is one
     # too large, and the decimal text drops the last digit, where they differ
@@ -846,6 +865,37 @@ def test_json_and_csv_carry_equal_values(argv):
                 assert (cell == "") == (j[column] is None)
             else:
                 assert cell == csv_cell(j[column]), column
+
+
+CELLS = st.one_of(st.integers(), st.text(st.characters(max_codepoint=127)), st.booleans(), st.none())
+LINES = st.text(st.characters(min_codepoint=32, max_codepoint=126))
+
+
+@st.composite
+def split_reports(draw):
+    """A config, flat rows with one text line each, and cuts that split
+    them into non-empty parts."""
+    command = draw(st.sampled_from(["eval", "table", "verify"]))
+    config = report.RunConfig(command, 0, 3, output_format=draw(st.sampled_from(list(report.OutputFormat))))
+    keys = st.sampled_from(report.CSV_COLUMNS + report.EVAL_CSV_COLUMNS + report.TABLE_CSV_COLUMNS)
+    rows = draw(st.lists(st.dictionaries(keys, CELLS, max_size=6), min_size=1, max_size=8))
+    text = draw(st.lists(LINES, min_size=len(rows), max_size=len(rows)))
+    cuts = sorted(draw(st.sets(st.integers(1, len(rows) - 1)))) if len(rows) > 1 else []
+    return config, rows, text, [0, *cuts, len(rows)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(report_parts=split_reports(), closing=st.lists(LINES, max_size=2), all_passed=st.booleans())
+def test_parts_join_to_the_whole_report(report_parts, closing, all_passed):
+    config, rows, text, bounds = report_parts
+    parts = [report.render_report(config, rows[a:b], text[a:b], a == 0) for a, b in zip(bounds, bounds[1:])]
+    parts.append(report.render_report(config, [], closing, False, all_passed))
+    joined = "".join(parts)
+    if config.output_format is report.OutputFormat.JSON:
+        payload = {"config": config.to_dict(), "results": rows, "all_passed": all_passed}
+        assert joined == json.dumps(payload, indent=2) + "\n"
+    else:
+        assert joined == report.render_report(config, rows, text + closing, True, all_passed)
 
 
 def off_by_one_at(fn, bad_n):

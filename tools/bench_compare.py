@@ -1,0 +1,92 @@
+"""Compare two ``BENCH_<label>.json`` snapshots, metric by metric.
+
+Usage, from the root of a checkout:
+
+    python3 tools/bench_compare.py BENCH_pr14-parent.json BENCH_pr14.json
+
+For each workload and each end-to-end metric of ``BENCHMARK.json``, it
+prints the base's and the change's median with their quartiles
+``[q1, q3]``, the change in the median, and in how many seed pairs the
+change read better or worse; ties count for neither. Both snapshots must
+hold the same seeds: each metric's ``values`` are in seed order, so the
+runs of one seed make a pair.
+
+Each row ends in a verdict. ``unresolved``: the base's own runs spread,
+q3 - q1, wider than the metric's bound, so its median cannot tell a
+regression from noise; unless every run of the change reads better than
+every run of the base. Else ``worse``: the median moved the wrong way by
+more than the bound. Else ``ok``. The script exits 1 if any row is
+``worse``, and 0 otherwise.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def compare(base: dict, change: dict, benchmark: dict) -> list[dict]:
+    """One row per workload and end-to-end metric: medians, quartiles,
+    delta, pair counts and verdict."""
+    rows = []
+    for workload in (w["name"] for w in benchmark["workloads"]):
+        for metric in benchmark["end_to_end"]:
+            name, bound = metric["name"], metric["bound"]
+            sign = 1 if metric["better"] == "lower" else -1  # > 0: worse
+            b = base["workloads"][workload]["metrics"][name]
+            c = change["workloads"][workload]["metrics"][name]
+            delta = c["median"] - b["median"]
+            steps = [sign * (y - x) for x, y in zip(b["values"], c["values"])]
+            beats_all = max(sign * v for v in c["values"]) < min(sign * v for v in b["values"])
+            if b["q3"] - b["q1"] > bound and not beats_all:
+                verdict = "unresolved"
+            elif sign * delta > bound:
+                verdict = "worse"
+            else:
+                verdict = "ok"
+            rows.append(
+                {
+                    "workload": workload,
+                    "metric": name,
+                    "unit": metric["unit"],
+                    "bound": bound,
+                    "base": b,
+                    "change": c,
+                    "delta": delta,
+                    "better": sum(s < 0 for s in steps),
+                    "worse": sum(s > 0 for s in steps),
+                    "pairs": len(steps),
+                    "verdict": verdict,
+                }
+            )
+    return rows
+
+
+def _spread(m: dict) -> str:
+    return f"{m['median']:.3f} [{m['q1']:.3f}, {m['q3']:.3f}]"
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("base", type=Path, metavar="BASE.json")
+    parser.add_argument("change", type=Path, metavar="CHANGE.json")
+    args = parser.parse_args(argv)
+    base, change = (json.loads(path.read_text()) for path in (args.base, args.change))
+    if base["seeds"] != change["seeds"]:
+        parser.error(f"the snapshots ran different seeds: {base['seeds']} and {change['seeds']}")
+    rows = compare(base, change, json.loads((ROOT / "BENCHMARK.json").read_text()))
+    print(f"{base['label']} ({base['commit'][:7]}) -> {change['label']} ({change['commit'][:7]}), seeds {base['seeds']}")
+    for r in rows:
+        print(
+            f"{r['workload']:<12} {r['metric']:<12} {_spread(r['base'])} -> {_spread(r['change'])} {r['unit']}"
+            f"  delta {r['delta']:+.3f} (bound {r['bound']})"
+            f"  better {r['better']}/{r['pairs']}, worse {r['worse']}/{r['pairs']}  {r['verdict']}"
+        )
+    return 1 if any(r["verdict"] == "worse" for r in rows) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
