@@ -84,11 +84,13 @@ def run_benchmark(
     return records
 
 
-def median_duration_ns(records: Sequence[BenchRecord], strategy: Strategy) -> int:
-    """Median measured duration for a strategy."""
+def median_ns(durations: Sequence[int]) -> int:
+    """The median of measured durations in whole nanoseconds; ValueError if none."""
     import statistics  # only bench prints medians; other commands skip the import
 
-    durations = [r.duration_ns for r in records if r.strategy is strategy and not r.skipped]
-    if not durations:
-        raise ValueError(f"no measurements for {strategy.name}")
     return int(statistics.median(durations))
+
+
+def median_duration_ns(records: Sequence[BenchRecord], strategy: Strategy) -> int:
+    """Median measured duration for a strategy."""
+    return median_ns([r.duration_ns for r in records if r.strategy is strategy and not r.skipped])

@@ -26,8 +26,9 @@ support of the coefficients involved. Each line takes ``(n, rows)``:
 rows 2n and 2n-2 and their prefix sums, built once per n by
 :func:`verify_chain_timed`, which alone checks n >= 1. So each inner sum
 sum_{a<=k<b} row[k] is one prefix-sum difference and each line costs O(n)
-big-integer operations. Rational steps are verified in cleared-denominator
-integer form; no rational arithmetic exists anywhere.
+big-integer operations. It evaluates a line only for a comparison it is
+asked to run that reads the line. Rational steps are verified in
+cleared-denominator integer form; no rational arithmetic exists anywhere.
 
 Quantities are returned as (possibly signed) ints. In a correct build they
 are all positive, but two-term combinations could in principle go negative,
@@ -38,6 +39,8 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
+from functools import cache
+from typing import Collection
 
 from .bench import timed
 from .combinatorics import binomial, pascal_row
@@ -79,10 +82,6 @@ class StepReport:
     lhs: int
     rhs: int
     equal: bool
-
-    @classmethod
-    def compare(cls, n: int, step: StepId, lhs: int, rhs: int) -> "StepReport":
-        return cls(n=n, step=step, lhs=lhs, rhs=rhs, equal=lhs == rhs)
 
 
 class _Rows:
@@ -285,36 +284,38 @@ def alternative_finish(n: int, rows: _Rows, telescoped: int) -> AlternativeFinis
     )
 
 
-def verify_chain_timed(n: int) -> list[tuple[StepReport, int]]:
-    """Run all seven chain comparisons at ``n``, timing each.
+def verify_chain_timed(n: int, steps: Collection[StepId] = CHAIN_COMPARISONS) -> list[tuple[StepReport, int]]:
+    """Run the comparisons in ``steps`` at ``n``, in chain order, timing each.
 
-    The attached duration (nanoseconds, from :func:`cbsum.bench.timed`) is
-    the time taken to evaluate the quantities each comparison introduces,
-    so the first entry covers both reference sums, L0 and L1, and the
-    second building the rows every later line reads. A false flag is a
-    result, never an exception.
+    A line, or the rows, is evaluated once, when the first comparison that
+    reads it runs, and that comparison's duration (ns, from ``timed``)
+    covers it: with all seven, the first covers L0 and L1, both reference
+    sums, and the second building the rows. A false flag is a result, never
+    an exception.
     """
     if n < 1:
         raise ValueError(f"verify_chain: needs n >= 1 (the chain divides by 2n(2n-1)), got n={n}")
-    (l0, l1), l1_ns = timed(lambda: (evaluate_naive(n), evaluate_symmetrized(n)))
-    # the rows: built after L0 and L1, not held through them, timed in L2's span
-    (rows, l2), l2_ns = timed(lambda: (rows := _Rows(n), absorbed_form(n, rows)))
-    l3, l3_ns = timed(folded_form, n, rows)
-    l5, l5_ns = timed(cancelled_form, n, rows)
-    l6, l6_ns = timed(telescoped_form, n, rows)
-    (closed_lhs, closed_rhs), l7_ns = timed(closure_sides, n, rows, l6)
-    finish, x_ns = timed(alternative_finish, n, rows, l6)
-    scale = 4 * (2 * n) * (2 * n - 1)
-    x_holds = l6 == finish.expression and finish.all_equal
-    return [
-        (StepReport.compare(n, StepId.L1_SYMMETRIZED, l0, l1), l1_ns),
-        (StepReport.compare(n, StepId.L2_ABSORBED, l1, scale * l2), l2_ns),
-        (StepReport.compare(n, StepId.L3_FOLDED, l2, l3), l3_ns),
-        (StepReport.compare(n, StepId.L5_CANCELLED, l3, l5), l5_ns),
-        (StepReport.compare(n, StepId.L6_TELESCOPED, l5, l6), l6_ns),
-        (StepReport.compare(n, StepId.L7_CLOSED, closed_lhs, closed_rhs), l7_ns),
-        (StepReport(n, StepId.X_FINISH, l6, finish.expression, x_holds), x_ns),
-    ]
+    # each memo looks its line's function up when first called
+    rows = cache(lambda: _Rows(n))
+    l0, l1 = cache(lambda: evaluate_naive(n)), cache(lambda: evaluate_symmetrized(n))
+    l2, l3 = cache(lambda: absorbed_form(n, rows())), cache(lambda: folded_form(n, rows()))
+    l5, l6 = cache(lambda: cancelled_form(n, rows())), cache(lambda: telescoped_form(n, rows()))
+    finish = cache(lambda: alternative_finish(n, rows(), l6()))
+    sides = {
+        StepId.L1_SYMMETRIZED: lambda: (l0(), l1()),
+        StepId.L2_ABSORBED: lambda: (l1(), 4 * (2 * n) * (2 * n - 1) * l2()),
+        StepId.L3_FOLDED: lambda: (l2(), l3()),
+        StepId.L5_CANCELLED: lambda: (l3(), l5()),
+        StepId.L6_TELESCOPED: lambda: (l5(), l6()),
+        StepId.L7_CLOSED: lambda: closure_sides(n, rows(), l6()),
+        StepId.X_FINISH: lambda: (l6(), finish().expression),
+    }
+    reports = []
+    for step in [s for s in CHAIN_COMPARISONS if s in steps]:
+        (lhs, rhs), elapsed = timed(sides[step])
+        equal = finish().all_equal if step is StepId.X_FINISH else lhs == rhs
+        reports.append((StepReport(n, step, lhs, rhs, equal), elapsed))
+    return reports
 
 
 def verify_chain(n: int) -> list[StepReport]:

@@ -95,10 +95,7 @@ def _finish(runner, n_min: int, n_max: int, **fields: Any) -> None:
         try:
             click.echo("".join(held), nl=False)
         except BrokenPipeError:
-            # the reader is gone; point stdout at devnull so that the final
-            # flush at exit does not fail again, and exit as SIGPIPE would
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            ctx.exit(141)
+            ctx.exit(141)  # the reader is gone: stop as SIGPIPE would
         held.clear()
 
     def emit(rows: list[dict[str, Any]], text: list[str]) -> bool:
@@ -217,6 +214,8 @@ class _Main(click.Group):
 
             traceback.print_exc()
             code = 3
+        if code == 141:  # only an exiting process: the flush at exit must not fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         sys.exit(code)
 
 
@@ -266,7 +265,7 @@ def verify_cmd(range_spec: str, **fields: Any) -> None:
 @click.option("--range", "range_spec", required=True, help="Range of n, e.g. 1..20.")
 @_choice_option(
     "--step", "steps_enabled", STEP_NAMES, multiple=True,
-    help="Restrict to specific chain comparisons (default: all seven).",
+    help="Chain comparisons to run, and so lines to evaluate (default: all seven).",
 )
 @format_option
 @jobs_option

@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from dataclasses import replace
 from functools import cache, partial
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from . import identity
-from .bench import BenchRecord, median_duration_ns, run_benchmark, timed
+from .bench import BenchRecord, median_ns, run_benchmark, timed
 from .chain import verify_chain_timed
 from .combinatorics import central_binomials
 from .digests import value_digest
@@ -156,13 +155,9 @@ def run_verify(config: RunConfig, emit: Emit) -> list[str]:
 
 def run_steps(config: RunConfig, emit: Emit) -> list[str]:
     ns = list(range(config.n_min, config.n_max + 1))
-    enabled = set(config.steps_enabled)
-    for n, reports in zip(ns, _map_over(verify_chain_timed, ns, config.parallelism)):
-        checks = (
-            (report.step.name, report.lhs, report.rhs, report.equal, elapsed, {})
-            for report, elapsed in reports
-            if report.step in enabled
-        )
+    verify = partial(verify_chain_timed, steps=config.steps_enabled)
+    for n, reports in zip(ns, _map_over(verify, ns, config.parallelism)):
+        checks = ((r.step.name, r.lhs, r.rhs, r.equal, elapsed, {}) for r, elapsed in reports)
         rows = _check_rows(n, checks)
         text = [f"n={n} {r['step_or_strategy']:<15} {'ok' if r['equal'] else 'MISMATCH'}" for r in rows]
         passed = emit(rows, text)
@@ -177,7 +172,9 @@ def _bench_keys(record: BenchRecord, ref: BenchRecord | None) -> Row:
 
 
 def run_bench(config: RunConfig, emit: Emit) -> list[str]:
-    timings: list[BenchRecord] = []  # for the medians, without the values
+    from array import array  # exact medians need every duration: 8 bytes each
+
+    durations = {s: array("q") for s in config.strategies_enabled}
     for _, records, rows in _measured(config, _bench_keys):
         text = []
         for record, row in zip(records, rows):
@@ -191,12 +188,12 @@ def run_bench(config: RunConfig, emit: Emit) -> list[str]:
                     f"n={record.n} {record.strategy.name:<12} rep={record.repetition} "
                     f"{record.duration_ns / 1e6:10.3f} ms  digest={_short(row['lhs_digest'])}"
                 )
-            timings.append(replace(record, value=None))
+                durations[record.strategy].append(record.duration_ns)
         passed = emit(rows, text)
     text = [
-        f"median {strategy.name:<12} {median_duration_ns(timings, strategy) / 1e6:10.3f} ms"
-        for strategy in config.strategies_enabled
-        if any(r.strategy is strategy and not r.skipped for r in timings)
+        f"median {strategy.name:<12} {median_ns(measured) / 1e6:10.3f} ms"
+        for strategy, measured in durations.items()
+        if measured
     ]
     text.append("values consistent" if passed else "VALUE MISMATCH")
     return text

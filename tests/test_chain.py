@@ -9,7 +9,6 @@ from cbsum import chain
 from cbsum.chain import (
     CHAIN_COMPARISONS,
     StepId,
-    StepReport,
     absorbed_form,
     alternative_finish,
     cancelled_form,
@@ -142,10 +141,14 @@ class TestXValue:
 
 
 class TestStepReport:
-    def test_compare_sets_flag(self):
-        good = StepReport.compare(3, StepId.L3_FOLDED, 5, 5)
-        bad = StepReport.compare(3, StepId.L3_FOLDED, 5, 6)
-        assert good.equal and not bad.equal
+    def test_unequal_sides_clear_the_flag(self, monkeypatch):
+        real = chain.folded_form
+        monkeypatch.setattr(chain, "folded_form", lambda n, rows: real(n, rows) + 1)
+        reads_l3 = {StepId.L3_FOLDED, StepId.L5_CANCELLED}
+        for report, _ in verify_chain_timed(4):
+            assert report.equal == (report.step not in reads_l3)
+            if report.step in reads_l3:
+                assert report.lhs != report.rhs
 
     def test_equal_flag_matches_sides(self):
         for report in verify_chain(4):
@@ -209,6 +212,33 @@ class TestSharedRows:
         for n in (3, 4, 9):
             assert all(report.equal for report, _ in verify_chain_timed(n))
         assert built == [6, 4, 8, 6, 18, 16]
+
+    def test_named_steps_evaluate_only_the_lines_they_read(self, monkeypatch):
+        built, called = [], []
+        real_row = chain.pascal_row
+
+        def counting(m):
+            built.append(m)
+            return real_row(m)
+
+        def never(name):
+            return lambda *args: called.append(name)
+
+        monkeypatch.setattr(chain, "pascal_row", counting)
+        for name in ("evaluate_naive", "evaluate_symmetrized", "absorbed_form", "folded_form", "cancelled_form"):
+            monkeypatch.setattr(chain, name, never(name))
+        reports = verify_chain_timed(9, steps=(StepId.X_FINISH,))
+        assert [report.step for report, _ in reports] == [StepId.X_FINISH]
+        assert all(report.equal for report, _ in reports)
+        assert built == [18, 16]
+        assert called == []
+
+    def test_named_steps_come_back_in_chain_order(self):
+        steps = (StepId.X_FINISH, StepId.L3_FOLDED)
+        assert [report.step for report, _ in verify_chain_timed(5, steps)] == [
+            StepId.L3_FOLDED,
+            StepId.X_FINISH,
+        ]
 
     def test_failed_call_leaves_no_rows_behind(self, monkeypatch):
         real = chain.pascal_row

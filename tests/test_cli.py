@@ -252,6 +252,25 @@ class TestSteps:
         assert {r["step_or_strategy"] for r in rows} == {"L7_CLOSED"}
 
 
+    @pytest.mark.parametrize("step", ["L3_FOLDED", "X_FINISH", "L2_ABSORBED"])
+    def test_step_runs_only_the_lines_it_reads(self, monkeypatch, step):
+        def raises(name):
+            def evaluate(n):
+                raise RuntimeError(f"{name} evaluated")
+
+            return evaluate
+
+        monkeypatch.setattr(chain, "evaluate_naive", raises("naive"))
+        monkeypatch.setattr(chain, "evaluate_symmetrized", raises("symmetrized"))
+        argv = ["steps", "--range", "1..6", "--step", step]
+        if step == "L2_ABSORBED":  # reads L1 and L2, never L0
+            with pytest.raises(RuntimeError, match="symmetrized evaluated"):
+                main.main(argv, standalone_mode=False)
+        else:
+            with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+                assert main.main(argv, standalone_mode=False) == 0
+
+
 class TestBench:
     def test_record_count_csv(self, runner):
         result = runner.invoke(
@@ -688,6 +707,38 @@ def test_closed_stdout_exits_141(argv):
     assert result.stderr == b""
 
 
+EMBEDDED_INTO_CLOSED_PIPE = """
+import json, os, sys
+from cbsum.cli import main
+
+def state():
+    return os.fstat(1).st_ino, len(os.listdir("/proc/self/fd"))
+
+before = state()
+codes = [main.main(["eval", "--n", "2"], standalone_mode=False) for _ in range(3)]
+print(json.dumps({"codes": codes, "before": before, "after": state()}), file=sys.stderr)
+"""
+
+
+def test_embedded_calls_into_closed_pipe_leave_fd_1_alone():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-c", EMBEDDED_INTO_CLOSED_PIPE],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=cli_env(),
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    # the host's own flush at exit may complain after this first line
+    seen = json.loads(result.stderr.decode().splitlines()[0])
+    assert seen["codes"] == [141, 141, 141]
+    assert seen["after"] == seen["before"]
+
+
 def test_reader_that_leaves_mid_report_stops_the_run():
     # the whole table would take hours: only a run that stops at the first
     # write after the reader left finishes in time
@@ -749,9 +800,13 @@ def traced_peak(argv: list[str]) -> int:
             tracemalloc.stop()
 
 
+#: Options besides the range and the format, per command.
+MEMORY_OPTIONS = {"bench": ["--strategy", "closed-form", "--repetitions", "10"]}
+
+
 @pytest.mark.parametrize(
     "command,first,last,output_format",
-    [("table", 0, 2000, "csv"), ("steps", 1, 200, "json")],
+    [("table", 0, 2000, "csv"), ("steps", 1, 200, "json"), ("bench", 1, 400, "csv")],
 )
 def test_peak_memory_does_not_grow_with_range(monkeypatch, command, first, last, output_format):
     # the chain's reference sums make O(n^2) allocations at each n, which
@@ -759,12 +814,14 @@ def test_peak_memory_does_not_grow_with_range(monkeypatch, command, first, last,
     # the report is the same
     monkeypatch.setattr(chain, "evaluate_naive", identity.evaluate_closed_form)
     monkeypatch.setattr(chain, "evaluate_symmetrized", identity.evaluate_closed_form)
+    options = [*MEMORY_OPTIONS.get(command, []), "--format", output_format]
     # the same largest n, so the two runs differ only in how many n they cover
-    short = [command, "--range", f"{last - 9}..{last}", "--format", output_format]
+    short = [command, "--range", f"{last - 9}..{last}", *options]
     traced_peak(short)  # first call: lazy imports and caches
-    # the parts held for one write, their join and its encoded copy
+    # the parts held for one write, their join and its encoded copy; for
+    # bench also the durations its medians need, 4000 small ints here
     slack = 4 * WRITE_CHUNK
-    wide = traced_peak([command, "--range", f"{first}..{last}", "--format", output_format])
+    wide = traced_peak([command, "--range", f"{first}..{last}", *options])
     assert wide <= traced_peak(short) + slack
 
 

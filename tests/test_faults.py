@@ -18,8 +18,8 @@ hide a mismatch or change what no report shows. Unit tests catch those:
   ``tests/test_cli.py::TestVerify::test_corrupted_evaluator_detected``.
 * ``report.rows_pass`` passing every report:
   ``tests/test_cli.py::TestEmbedded::test_mismatch_returns_1``.
-* ``chain.StepReport.compare`` setting ``equal`` regardless of the sides:
-  ``tests/test_chain.py::TestStepReport::test_compare_sets_flag``.
+* ``chain.verify_chain_timed`` setting ``equal`` regardless of the sides:
+  ``tests/test_chain.py::TestStepReport::test_unequal_sides_clear_the_flag``.
 * The timer dropping its 1 ns floor, so an evaluation faster than the
   clock's tick reads 0: ``tests/test_cli.py::test_stopped_clock_reads_1_ns``.
 * A digest memo that outlives one call:
@@ -160,12 +160,41 @@ def get(container: Any, key: Any) -> Any:
     return container[key] if isinstance(container, dict) else getattr(container, key)
 
 
+#: The comparison of each chain line's fault above that reads the line first.
+OWN_STEP = {
+    "chain.evaluate_naive": "L1_SYMMETRIZED",
+    "chain.evaluate_symmetrized": "L1_SYMMETRIZED",
+    "chain.absorbed_form": "L2_ABSORBED",
+    "chain.folded_form": "L3_FOLDED",
+    "chain.cancelled_form": "L5_CANCELLED",
+    "chain.telescoped_form": "L6_TELESCOPED",
+    "chain.closure_sides": "L7_CLOSED",
+    "chain.alternative_finish": "X_FINISH",
+}
+
+
 @pytest.mark.parametrize(
     "binding,fault,argv,catch,also",
     CASES,
     ids=[f"{case[0]}-{case[1].__name__}-{case[2][0]}" for case in CASES],
 )
 def test_planted_fault_is_caught(monkeypatch, binding, fault, argv, catch, also):
+    assert_caught(monkeypatch, binding, fault, argv, catch, also)
+
+
+@pytest.mark.parametrize(
+    "binding,fault,catch",
+    [(binding, fault, catch) for binding, fault, _, catch, _ in CASES if binding in OWN_STEP],
+    ids=[binding for binding, *_ in CASES if binding in OWN_STEP],
+)
+def test_chain_line_fault_is_caught_by_its_own_step_alone(monkeypatch, binding, fault, catch):
+    # steps evaluates only the lines its named comparisons read, so this
+    # call reaches the faulty line through the one comparison named
+    assert_caught(monkeypatch, binding, fault, (*STEPS, "--step", OWN_STEP[binding]), catch, {})
+
+
+def assert_caught(monkeypatch, binding, fault, argv, catch, also) -> None:
+    """``argv`` passes as it is, and gives ``catch`` with ``fault`` planted at ``binding``."""
     for name, value in also.items():
         (container, key), = bindings(name)
         replace(monkeypatch, container, key, value)
