@@ -191,9 +191,9 @@ def run_bench(config: RunConfig, emit: Emit) -> list[str]:
                 durations[record.strategy].append(record.duration_ns)
         passed = emit(rows, text)
     text = [
-        f"median {strategy.name:<12} {median_ns(measured) / 1e6:10.3f} ms"
-        for strategy, measured in durations.items()
-        if measured
+        f"median {strategy.name:<12} {median_ns(durations[strategy]) / 1e6:10.3f} ms"
+        for strategy in config.strategies_enabled
+        if len(durations[strategy])
     ]
     text.append("values consistent" if passed else "VALUE MISMATCH")
     return text
