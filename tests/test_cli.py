@@ -251,7 +251,6 @@ class TestSteps:
         assert len(rows) == 3
         assert {r["step_or_strategy"] for r in rows} == {"L7_CLOSED"}
 
-
     @pytest.mark.parametrize("step", ["L3_FOLDED", "X_FINISH", "L2_ABSORBED"])
     def test_step_runs_only_the_lines_it_reads(self, monkeypatch, step):
         def raises(name):
@@ -819,7 +818,7 @@ def test_peak_memory_does_not_grow_with_range(monkeypatch, command, first, last,
     short = [command, "--range", f"{last - 9}..{last}", *options]
     traced_peak(short)  # first call: lazy imports and caches
     # the parts held for one write, their join and its encoded copy; for
-    # bench also the durations its medians need, 4000 small ints here
+    # bench also the durations its medians need, 4000 of 8 bytes here
     slack = 4 * WRITE_CHUNK
     wide = traced_peak([command, "--range", f"{first}..{last}", *options])
     assert wide <= traced_peak(short) + slack

@@ -1,9 +1,9 @@
 """Start-up guard: a call loads only the machinery its command runs.
 
 Every ``cbsum`` call is a fresh interpreter, so each standard-library
-module imported at start-up costs every call. The process pool, the
-median, the traceback printer and ``decimal`` (for values too long for
-``str(int)``) are imported where they are used.
+module imported at start-up costs every call. The process pool, bench's
+durations and median, the traceback printer and ``decimal`` (for values
+too long for ``str(int)``) are imported where they are used.
 cbsum's own modules are not deferred: tracers look them up in
 ``sys.modules`` right after ``import cbsum.cli``.
 """
@@ -19,7 +19,7 @@ import cbsum
 
 SRC = Path(cbsum.__file__).resolve().parent.parent
 
-DEFERRED = ("multiprocessing", "concurrent.futures", "statistics", "traceback", "decimal")
+DEFERRED = ("multiprocessing", "concurrent.futures", "array", "statistics", "traceback", "decimal")
 EAGER = (
     "cbsum.runs",
     "cbsum.identity",
