@@ -234,7 +234,6 @@ class AlternativeFinish:
     * ``adjacent_pair_sides``: C(2n-2,n-2) + C(2n-2,n-1)  vs  C(2n-1,n-1)
     """
 
-    n: int
     x: int
     expression: int
     closed_product: int
@@ -273,7 +272,6 @@ def alternative_finish(n: int, rows: _Rows, telescoped: int) -> AlternativeFinis
         + big[n] * x
     )
     return AlternativeFinish(
-        n=n,
         x=x,
         expression=expression,
         closed_product=center * above,

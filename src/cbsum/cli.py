@@ -74,44 +74,33 @@ def _choice_option(flag: str, field: str, by_name: dict[str, Any], **kwargs: Any
     return click.option(flag, field, type=click.Choice(sorted(by_name)), callback=pick, **kwargs)
 
 
-#: Characters of report held before they are written. Reports are ASCII, so
-#: one character is one byte. A write per part would be a system call per n
-#: on an unbuffered stdout (``PYTHONUNBUFFERED``).
-WRITE_CHUNK = 64 * 1024
-
-
 def _finish(runner, n_min: int, n_max: int, **fields: Any) -> None:
-    """Run ``runner``, writing its report part by part as it comes, and
-    exit with the code its rows call for. The first part opens the report;
-    the lines ``runner`` returns close it, with ``all_passed`` read off the
-    same running flag as the exit code."""
+    """Run ``runner``, writing its report part by part to ``sys.stdout`` as
+    it comes, and exit with the code its rows call for. The first part
+    opens the report; the lines ``runner`` returns close it, with
+    ``all_passed`` read off the same running flag as the exit code. Only
+    the write and the final flush may find the reader gone: that exits 141."""
     ctx = click.get_current_context()
     config = RunConfig(ctx.command.name, n_min, n_max, **fields)
-    held: list[str] = []
-    size = 0
     passed = opens = True
 
-    def write() -> None:
+    def write(part: str, last: bool = False) -> None:
         try:
-            click.echo("".join(held), nl=False)
+            sys.stdout.write(part)
+            if last:
+                sys.stdout.flush()
         except BrokenPipeError:
             ctx.exit(141)  # the reader is gone: stop as SIGPIPE would
-        held.clear()
 
     def emit(rows: list[dict[str, Any]], text: list[str]) -> bool:
-        nonlocal size, passed, opens
-        held.append(render_report(config, rows, text, opens))
+        nonlocal passed, opens
+        write(render_report(config, rows, text, opens))
         opens = False
         passed = rows_pass(rows) and passed
-        size += len(held[-1])
-        if size >= WRITE_CHUNK:
-            write()
-            size = 0
         return passed
 
     closing = runner(config, emit)
-    held.append(render_report(config, [], closing, False, passed))
-    write()
+    write(render_report(config, [], closing, False, passed), last=True)
     ctx.exit(0 if passed else 1)
 
 

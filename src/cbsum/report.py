@@ -87,12 +87,10 @@ class RunConfig:
         }
 
 
-def _cell(value: Any) -> str:
-    if value is None:
-        return ""
+def _cell(value: Any) -> Any:
     if isinstance(value, bool):
         return "true" if value else "false"
-    return str(value)
+    return value
 
 
 def rows_pass(rows: Sequence[Mapping[str, Any]]) -> bool:

@@ -46,7 +46,14 @@ def run(*paths: Path) -> subprocess.CompletedProcess:
 def test_committed_pair_exits_0():
     result = run(BASE, CHANGE)
     assert result.returncode == 0, result.stderr
-    assert len(result.stdout.splitlines()) == 1 + 12
+    lines = result.stdout.splitlines()
+    assert len(lines) == 1 + 12 + 4
+    assert lines[-4:] == [
+        "big-eval     failed       0/1224 -> 0/1272  ok",
+        "wide-table   failed       0/1089 -> 0/1034  ok",
+        "chain-steps  failed       0/188 -> 0/178  ok",
+        "crosscheck   failed       0/140 -> 0/138  ok",
+    ]
 
 
 def test_worse_median_exits_1(tmp_path):
@@ -73,3 +80,32 @@ def test_different_seeds_are_refused(tmp_path):
     result = run(BASE, path)
     assert result.returncode == 2
     assert "different seeds" in result.stderr
+
+
+def test_failed_run_exits_1(tmp_path):
+    # one run of the change's crosscheck failed an operation: a larger
+    # share of failures than the base's none, and not correct
+    change = json.loads(CHANGE.read_text())
+    change["workloads"]["crosscheck"].update(failed=1, correct=False)
+    path = tmp_path / "BENCH_failed.json"
+    path.write_text(json.dumps(change))
+    result = run(BASE, path)
+    assert result.returncode == 1
+    assert "crosscheck   failed       0/140 -> 1/138 incorrect  worse" in result.stdout.splitlines()
+    assert all(line.endswith("ok") for line in result.stdout.splitlines()[-4:-1])
+
+
+def test_failure_share_and_correctness_decide_the_verdict(bench_compare):
+    base, change = json.loads(BASE.read_text()), json.loads(CHANGE.read_text())
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+
+    def verdict(failed: int, attempted: int, correct: bool = True) -> str:
+        change["workloads"]["crosscheck"].update(failed=failed, attempted=attempted, correct=correct)
+        rows = bench_compare.failures(base, change, benchmark)
+        return {r["workload"]: r["verdict"] for r in rows}["crosscheck"]
+
+    base["workloads"]["crosscheck"].update(failed=1, attempted=100)
+    assert verdict(2, 200) == "ok"  # the same share
+    assert verdict(1, 150) == "ok"  # a smaller share
+    assert verdict(2, 150) == "worse"
+    assert verdict(0, 100, correct=False) == "worse"

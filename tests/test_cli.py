@@ -25,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 import cbsum
 from cbsum import chain, cli, combinatorics, digests, identity, report, runs
 from cbsum.chain import CHAIN_COMPARISONS, StepId
-from cbsum.cli import WRITE_CHUNK, main, parse_range
+from cbsum.cli import main, parse_range
 from cbsum.identity import Strategy
 
 from oracle import closed_form_by_comb
@@ -681,15 +681,24 @@ def test_equality_is_decided_on_integers_not_digests(runner, monkeypatch):
     assert "VALUE MISMATCH" in bench.output
 
 
-def cli_env() -> dict[str, str]:
-    """The environment for ``python -m cbsum.cli`` with this package first on the path."""
+def cli_env(unbuffered: bool) -> dict[str, str]:
+    """The environment for ``python -m cbsum.cli`` with this package first on
+    the path, and with stdout unbuffered (``PYTHONUNBUFFERED=1``) or not."""
     src = Path(cbsum.__file__).resolve().parent.parent
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-    return {**os.environ, "PYTHONPATH": path}
+    env = {**os.environ, "PYTHONPATH": path}
+    env.pop("PYTHONUNBUFFERED", None)
+    return {**env, "PYTHONUNBUFFERED": "1"} if unbuffered else env
 
 
+#: Both stdout modes: each write a system call, or writes held in stdout's
+#: buffer until it fills or is flushed, where a closed pipe surfaces later.
+stdout_modes = pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+
+
+@stdout_modes
 @pytest.mark.parametrize("argv", [["eval", "--n", "2"], ["verify", "--range", "0..3"]])
-def test_closed_stdout_exits_141(argv):
+def test_closed_stdout_exits_141(argv, unbuffered):
     read_end, write_end = os.pipe()
     os.close(read_end)  # the reader is gone before the report is written
     try:
@@ -697,7 +706,7 @@ def test_closed_stdout_exits_141(argv):
             [sys.executable, "-m", "cbsum.cli", *argv],
             stdout=write_end,
             stderr=subprocess.PIPE,
-            env=cli_env(),
+            env=cli_env(unbuffered),
             timeout=60,
         )
     finally:
@@ -719,7 +728,8 @@ print(json.dumps({"codes": codes, "before": before, "after": state()}), file=sys
 """
 
 
-def test_embedded_calls_into_closed_pipe_leave_fd_1_alone():
+@stdout_modes
+def test_embedded_calls_into_closed_pipe_leave_fd_1_alone(unbuffered):
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
@@ -727,7 +737,7 @@ def test_embedded_calls_into_closed_pipe_leave_fd_1_alone():
             [sys.executable, "-c", EMBEDDED_INTO_CLOSED_PIPE],
             stdout=write_end,
             stderr=subprocess.PIPE,
-            env=cli_env(),
+            env=cli_env(unbuffered),
             timeout=60,
         )
     finally:
@@ -738,14 +748,15 @@ def test_embedded_calls_into_closed_pipe_leave_fd_1_alone():
     assert seen["after"] == seen["before"]
 
 
-def test_reader_that_leaves_mid_report_stops_the_run():
+@stdout_modes
+def test_reader_that_leaves_mid_report_stops_the_run(unbuffered):
     # the whole table would take hours: only a run that stops at the first
     # write after the reader left finishes in time
     proc = subprocess.Popen(
         [sys.executable, "-m", "cbsum.cli", "table", "--range", "0..100000", "--format", "csv"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=cli_env(),
+        env=cli_env(unbuffered),
     )
     watchdog = threading.Timer(60, proc.kill)  # a run that goes on fails, not hangs
     watchdog.start()
@@ -764,6 +775,21 @@ def test_reader_that_leaves_mid_report_stops_the_run():
     assert stderr == b""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["table", "--range", "0..40", "--format", "csv"], ["steps", "--range", "1..3", "--format", "json"]],
+)
+def test_report_is_the_same_in_both_stdout_modes(argv):
+    def report(unbuffered: bool) -> str:
+        result = subprocess.run(
+            [sys.executable, "-m", "cbsum.cli", *argv], capture_output=True, env=cli_env(unbuffered), timeout=60
+        )
+        assert result.returncode == 0, result.stderr
+        return mask_durations(result.stdout.decode("ascii"))
+
+    assert report(unbuffered=False) == report(unbuffered=True)
+
+
 @pytest.mark.parametrize("output_format", ["json", "text"])
 def test_crash_mid_stream_never_reads_as_a_pass(runner, monkeypatch, output_format):
     real = identity.evaluate_naive
@@ -774,9 +800,8 @@ def test_crash_mid_stream_never_reads_as_a_pass(runner, monkeypatch, output_form
         return real(n)
 
     monkeypatch.setitem(identity.EVALUATORS, Strategy.NAIVE, fails_at_5)
-    # each part is written as soon as it is rendered, so the rows of the
-    # n before the crash are already out when it comes
-    monkeypatch.setattr(cli, "WRITE_CHUNK", 1)
+    # each part is written to stdout as soon as it is rendered, so the rows
+    # of the n before the crash are out, or in stdout's buffer, when it comes
     result = runner.invoke(main, ["verify", "--range", "0..5", "--format", output_format])
     assert result.exit_code == 3
     assert "Traceback (most recent call last)" in result.stderr
@@ -802,6 +827,13 @@ def traced_peak(argv: list[str]) -> int:
 #: Options besides the range and the format, per command.
 MEMORY_OPTIONS = {"bench": ["--strategy", "closed-form", "--repetitions", "10"]}
 
+#: Bytes a wide range may add to the peak, per command. 64 KiB is room for
+#: a few parts and for the allocator; no report is held, so the peak of
+#: table and steps does not grow with the number of parts. bench keeps
+#: its durations for the medians: 4000 of 8 bytes here, plus the sorted
+#: list of them that ``statistics.median`` makes.
+MEMORY_SLACK = {"table": 64 * 1024, "steps": 64 * 1024, "bench": 256 * 1024}
+
 
 @pytest.mark.parametrize(
     "command,first,last,output_format",
@@ -817,11 +849,8 @@ def test_peak_memory_does_not_grow_with_range(monkeypatch, command, first, last,
     # the same largest n, so the two runs differ only in how many n they cover
     short = [command, "--range", f"{last - 9}..{last}", *options]
     traced_peak(short)  # first call: lazy imports and caches
-    # the parts held for one write, their join and its encoded copy; for
-    # bench also the durations its medians need, 4000 of 8 bytes here
-    slack = 4 * WRITE_CHUNK
     wide = traced_peak([command, "--range", f"{first}..{last}", *options])
-    assert wide <= traced_peak(short) + slack
+    assert wide <= traced_peak(short) + MEMORY_SLACK[command]
 
 
 class TestNaiveCutoffOnValueCommands:

@@ -15,8 +15,14 @@ Each row ends in a verdict. ``unresolved``: the base's own runs spread,
 q3 - q1, wider than the metric's bound, so its median cannot tell a
 regression from noise; unless every run of the change reads better than
 every run of the base. Else ``worse``: the median moved the wrong way by
-more than the bound. Else ``ok``. The script exits 1 if any row is
-``worse``, and 0 otherwise.
+more than the bound. Else ``ok``.
+
+Then, per workload, it prints ``failed/attempted`` operations for both
+snapshots and whether every run of each was ``correct``. The row reads
+``worse`` if the change's share of failed operations is larger than the
+base's, or if some run of the change was not correct; else ``ok``.
+
+The script exits 1 if any row is ``worse``, and 0 otherwise.
 """
 from __future__ import annotations
 
@@ -65,6 +71,29 @@ def compare(base: dict, change: dict, benchmark: dict) -> list[dict]:
     return rows
 
 
+def failures(base: dict, change: dict, benchmark: dict) -> list[dict]:
+    """One row per workload: failed and attempted operations and
+    correctness on both sides, and verdict."""
+    rows = []
+    for workload in (w["name"] for w in benchmark["workloads"]):
+        b, c = base["workloads"][workload], change["workloads"][workload]
+        # c's share of failures above b's, without dividing by zero
+        more_failed = c["failed"] * b["attempted"] > b["failed"] * c["attempted"]
+        rows.append(
+            {
+                "workload": workload,
+                "base": b,
+                "change": c,
+                "verdict": "worse" if more_failed or not c["correct"] else "ok",
+            }
+        )
+    return rows
+
+
+def _failed(w: dict) -> str:
+    return f"{w['failed']}/{w['attempted']}{'' if w['correct'] else ' incorrect'}"
+
+
 def _spread(m: dict) -> str:
     return f"{m['median']:.3f} [{m['q1']:.3f}, {m['q3']:.3f}]"
 
@@ -77,7 +106,9 @@ def main(argv: list[str] | None = None) -> int:
     base, change = (json.loads(path.read_text()) for path in (args.base, args.change))
     if base["seeds"] != change["seeds"]:
         parser.error(f"the snapshots ran different seeds: {base['seeds']} and {change['seeds']}")
-    rows = compare(base, change, json.loads((ROOT / "BENCHMARK.json").read_text()))
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    rows = compare(base, change, benchmark)
+    failed = failures(base, change, benchmark)
     print(f"{base['label']} ({base['commit'][:7]}) -> {change['label']} ({change['commit'][:7]}), seeds {base['seeds']}")
     for r in rows:
         print(
@@ -85,7 +116,9 @@ def main(argv: list[str] | None = None) -> int:
             f"  delta {r['delta']:+.3f} (bound {r['bound']})"
             f"  better {r['better']}/{r['pairs']}, worse {r['worse']}/{r['pairs']}  {r['verdict']}"
         )
-    return 1 if any(r["verdict"] == "worse" for r in rows) else 0
+    for r in failed:
+        print(f"{r['workload']:<12} failed       {_failed(r['base'])} -> {_failed(r['change'])}  {r['verdict']}")
+    return 1 if any(r["verdict"] == "worse" for r in rows + failed) else 0
 
 
 if __name__ == "__main__":

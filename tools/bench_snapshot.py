@@ -16,9 +16,11 @@ Every run lasts ``run_seconds`` of ``BENCHMARK.json`` and every workload it
 lists is run, so that all snapshots are comparable. ``BENCH_<label>.json``,
 written to the root of this checkout, holds, per workload and metric, the
 value of every run in seed order, its median, quartiles and run count, next
-to the seeds, the checkout's commit, the Python version, the CPU count and
-the load average before and after. The script changes nothing in the checkouts it measures
-except perfbench's own ``.perfbench_out/`` records.
+to the seeds, the checkout's commit, the Python version, the CPU count,
+the load average before and after, and the values of the environment
+variables in ``RECORDED_ENV`` (null where unset), which every run inherits.
+The script changes nothing in the checkouts it measures except perfbench's
+own ``.perfbench_out/`` records.
 """
 from __future__ import annotations
 
@@ -31,6 +33,12 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+#: Environment that moves the metrics without changing the code run.
+#: ``PYTHONUNBUFFERED`` decides whether each report part is its own system
+#: call; ``PYTHONDONTWRITEBYTECODE`` makes every call compile cbsum from
+#: source, which shifts ``peak_rss_mb`` with the layout of the sources.
+RECORDED_ENV = ("PYTHONUNBUFFERED", "PYTHONDONTWRITEBYTECODE")
 
 
 def perfbench_run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, dict]:
@@ -102,6 +110,7 @@ def main() -> int:
             "nproc": os.cpu_count(),
             "loadavg_before": loadavg_before,
             "loadavg_after": loadavg_after,
+            "env": {name: os.environ.get(name) for name in RECORDED_ENV},
             "seconds": seconds,
             "seeds": args.seeds,
             "interleaved_with": [other for other in sides if other != label],
