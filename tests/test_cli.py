@@ -688,7 +688,9 @@ def cli_env(unbuffered: bool) -> dict[str, str]:
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     env.pop("PYTHONUNBUFFERED", None)
-    return {**env, "PYTHONUNBUFFERED": "1"} if unbuffered else env
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
 
 
 #: Both stdout modes: each write a system call, or writes held in stdout's
@@ -827,11 +829,11 @@ def traced_peak(argv: list[str]) -> int:
 #: Options besides the range and the format, per command.
 MEMORY_OPTIONS = {"bench": ["--strategy", "closed-form", "--repetitions", "10"]}
 
-#: Bytes a wide range may add to the peak, per command. 64 KiB is room for
-#: a few parts and for the allocator; no report is held, so the peak of
-#: table and steps does not grow with the number of parts. bench keeps
-#: its durations for the medians: 4000 of 8 bytes here, plus the sorted
-#: list of them that ``statistics.median`` makes.
+#: Bytes a wide range may add to the peak, per command. No report text is
+#: held between writes, so table and steps grow only by what the allocator
+#: keeps (some 16 and 30 KB). bench keeps its durations for the medians:
+#: 4000 of 8 bytes here, plus the sorted list of them, as Python ints, that
+#: ``statistics.median`` makes.
 MEMORY_SLACK = {"table": 64 * 1024, "steps": 64 * 1024, "bench": 256 * 1024}
 
 
