@@ -7,14 +7,15 @@ Exit codes follow the CI-friendly contract: 0 = all checks pass,
 written (128 + SIGPIPE). ``main.main(argv, standalone_mode=False)``
 returns the code instead of exiting, and lets exceptions propagate.
 
-Every usage error is raised here, as a ``click.UsageError``. Bounds on
-one option sit on the option: ``--n`` and ``--range`` need n >= 0 (and a
-range ``A..B`` with A <= B), ``--naive-cutoff`` and ``--digest-threshold``
->= 0, ``--jobs`` (``CBSUM_JOBS``) and ``--repetitions`` >= 1. Rules that
-tie options together sit in their command: ``steps`` needs n >= 1; ``eval``
-and ``table`` refuse the naive strategy above ``--naive-cutoff``; ``verify``
-needs two strategies measured at every n, ``bench`` one; ``bench`` takes
-exactly one of ``--n`` and ``--range``.
+Every usage error is raised here, as a ``click.UsageError``. A bound on
+one option is its ``click.IntRange``, named in the message and shown by
+``--help``: ``--n``, ``--naive-cutoff``, ``--digest-threshold`` >= 0,
+``--jobs`` (``CBSUM_JOBS``), ``--repetitions`` >= 1; ``--range`` reads
+``N`` or ``A..B``, 0 <= A <= B. Rules that tie options together sit in
+their command: ``steps`` needs n >= 1; ``eval`` and ``table`` refuse the
+naive strategy above ``--naive-cutoff``; ``verify`` needs two strategies
+measured at every n, ``bench`` one; ``bench`` takes exactly one of
+``--n`` and ``--range``.
 """
 from __future__ import annotations
 
@@ -50,17 +51,6 @@ def parse_range(spec: str) -> tuple[int, int]:
     if lo > hi:
         raise click.UsageError(f"bad range {spec!r}: lower bound exceeds upper")
     return lo, hi
-
-
-def _at_least(low: int):
-    """Option callback: a value below ``low`` is a usage error."""
-
-    def check(ctx, param, value):
-        if value is not None and value < low:
-            raise click.UsageError(f"{param.name.replace('_', ' ')} must be >= {low}, got {value}")
-        return value
-
-    return check
 
 
 def _choice_option(flag: str, field: str, by_name: dict[str, Any], **kwargs: Any):
@@ -130,7 +120,6 @@ def _require_measured(
 
 format_option = click.option(
     "--format",
-    "output_format",
     type=click.Choice([f.value for f in OutputFormat]),
     default=OutputFormat.TEXT.value,
     show_default=True,
@@ -139,20 +128,17 @@ format_option = click.option(
 )
 jobs_option = click.option(
     "--jobs",
-    "parallelism",
-    type=int,
+    type=click.IntRange(min=1),
     default=1,
     envvar="CBSUM_JOBS",
     show_default=True,
-    callback=_at_least(1),
     help="Worker processes for per-n parallelism (env: CBSUM_JOBS).",
 )
 cutoff_option = click.option(
     "--naive-cutoff",
-    type=int,
+    type=click.IntRange(min=0),
     default=DEFAULT_NAIVE_CUTOFF,
     show_default=True,
-    callback=_at_least(0),
     help="Largest n the naive strategy runs at: verify and bench skip it "
     "above, eval and table refuse to run.",
 )
@@ -163,18 +149,17 @@ full_decimal_option = click.option(
 )
 digest_threshold_option = click.option(
     "--digest-threshold",
-    type=int,
+    type=click.IntRange(min=0),
     default=DEFAULT_DIGEST_THRESHOLD,
     show_default=True,
-    callback=_at_least(0),
     help="Digits above which values are reported as digest + digit count.",
 )
 strategy_option = _choice_option(
-    "--strategy", "strategies_enabled", STRATEGY_NAMES, default=Strategy.CLOSED_FORM.value,
+    "--strategy", "strategies", STRATEGY_NAMES, default=Strategy.CLOSED_FORM.value,
     show_default=True,
 )
 strategies_option = _choice_option(
-    "--strategy", "strategies_enabled", STRATEGY_NAMES, multiple=True,
+    "--strategy", "strategies", STRATEGY_NAMES, multiple=True,
     help="Strategies to measure (default: all three).",
 )
 
@@ -219,7 +204,7 @@ def main() -> None:
 
 
 @main.command("eval")
-@click.option("--n", type=int, required=True, callback=_at_least(0), help="Problem size n >= 0.")
+@click.option("--n", type=click.IntRange(min=0), required=True, help="Problem size.")
 @strategy_option
 @format_option
 @cutoff_option
@@ -227,7 +212,7 @@ def main() -> None:
 @digest_threshold_option
 def eval_cmd(n: int, **fields: Any) -> None:
     """Print S(n) computed with one strategy."""
-    _refuse_naive_above_cutoff(n, fields["strategies_enabled"], fields["naive_cutoff"])
+    _refuse_naive_above_cutoff(n, fields["strategies"], fields["naive_cutoff"])
     _finish(run_eval, n_min=n, n_max=n, **fields)
 
 
@@ -245,7 +230,7 @@ def verify_cmd(range_spec: str, **fields: Any) -> None:
     """
     n_min, n_max = parse_range(range_spec)
     _require_measured(
-        2, "verify compares strategies", n_max, fields["strategies_enabled"], fields["naive_cutoff"]
+        2, "verify compares strategies", n_max, fields["strategies"], fields["naive_cutoff"]
     )
     _finish(run_verify, n_min=n_min, n_max=n_max, **fields)
 
@@ -253,7 +238,7 @@ def verify_cmd(range_spec: str, **fields: Any) -> None:
 @main.command("steps")
 @click.option("--range", "range_spec", required=True, help="Range of n, e.g. 1..20.")
 @_choice_option(
-    "--step", "steps_enabled", STEP_NAMES, multiple=True,
+    "--step", "steps", STEP_NAMES, multiple=True,
     help="Chain comparisons to run, and so lines to evaluate (default: all seven).",
 )
 @format_option
@@ -270,10 +255,10 @@ def steps_cmd(range_spec: str, **fields: Any) -> None:
 
 
 @main.command("bench")
-@click.option("--n", type=int, default=None, callback=_at_least(0), help="Single problem size.")
+@click.option("--n", type=click.IntRange(min=0), default=None, help="Single problem size.")
 @click.option("--range", "range_spec", default=None, help="Range of n, e.g. 10..20.")
 @strategies_option
-@click.option("--repetitions", type=int, default=5, show_default=True, callback=_at_least(1))
+@click.option("--repetitions", type=click.IntRange(min=1), default=5, show_default=True)
 @format_option
 @cutoff_option
 def bench_cmd(n: int | None, range_spec: str | None, **fields: Any) -> None:
@@ -282,7 +267,7 @@ def bench_cmd(n: int | None, range_spec: str | None, **fields: Any) -> None:
         raise click.UsageError("provide exactly one of --n or --range")
     n_min, n_max = (n, n) if n is not None else parse_range(range_spec)
     _require_measured(
-        1, "bench times strategies", n_max, fields["strategies_enabled"], fields["naive_cutoff"]
+        1, "bench times strategies", n_max, fields["strategies"], fields["naive_cutoff"]
     )
     _finish(run_bench, n_min=n_min, n_max=n_max, **fields)
 
@@ -297,7 +282,7 @@ def bench_cmd(n: int | None, range_spec: str | None, **fields: Any) -> None:
 def table_cmd(range_spec: str, **fields: Any) -> None:
     """Tabulate n, S(n) and its decimal digit count over a range."""
     n_min, n_max = parse_range(range_spec)
-    _refuse_naive_above_cutoff(n_max, fields["strategies_enabled"], fields["naive_cutoff"])
+    _refuse_naive_above_cutoff(n_max, fields["strategies"], fields["naive_cutoff"])
     _finish(run_table, n_min=n_min, n_max=n_max, **fields)
 
 

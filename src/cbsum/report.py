@@ -25,7 +25,7 @@ import csv
 import enum
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Mapping, Sequence
 
 from .bench import DEFAULT_NAIVE_CUTOFF
@@ -52,39 +52,36 @@ class OutputFormat(enum.Enum):
 @dataclass(frozen=True)
 class RunConfig:
     """Everything that determines a run's output: a record that the CLI
-    fills from its options and checks, not a validator.
+    fills from its options and checks, not a validator. Each field bears
+    the name of its option and of its key in the JSON config.
 
-    ``steps_enabled`` and ``strategies_enabled`` are kept in canonical
-    order; reports must be byte-identical for equal configs no matter how
-    many workers executed the run.
+    ``strategies`` and ``steps`` are kept in canonical order; reports must
+    be byte-identical for equal configs whatever the number of workers.
     """
 
     command: str
     n_min: int
     n_max: int
-    strategies_enabled: tuple[Strategy, ...] = ()
-    steps_enabled: tuple[StepId, ...] = CHAIN_COMPARISONS
-    output_format: OutputFormat = OutputFormat.TEXT
-    parallelism: int = 1
+    strategies: tuple[Strategy, ...] = ()
+    steps: tuple[StepId, ...] = CHAIN_COMPARISONS
+    format: OutputFormat = OutputFormat.TEXT
+    jobs: int = 1
     repetitions: int = 1
     naive_cutoff: int = DEFAULT_NAIVE_CUTOFF
     full_decimal: bool = False
     digest_threshold: int = DEFAULT_DIGEST_THRESHOLD
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "command": self.command,
-            "n_min": self.n_min,
-            "n_max": self.n_max,
-            "strategies": [s.name for s in self.strategies_enabled],
-            "steps": [s.name for s in self.steps_enabled],
-            "format": self.output_format.value,
-            "jobs": self.parallelism,
-            "repetitions": self.repetitions,
-            "naive_cutoff": self.naive_cutoff,
-            "full_decimal": self.full_decimal,
-            "digest_threshold": self.digest_threshold,
-        }
+        """The fields as the JSON config prints them: members by name."""
+        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
+
+
+def _plain(value: Any) -> Any:
+    if isinstance(value, OutputFormat):  # by its value, as --format takes it
+        return value.value
+    if isinstance(value, tuple):
+        return [member.name for member in value]
+    return value
 
 
 def _cell(value: Any) -> Any:
@@ -107,12 +104,6 @@ def _json(value: Any, depth: int) -> str:
     return _JSON.encode(value).replace("\n", "\n" + "  " * depth)
 
 
-#: One CSV writer for every part; its buffer is emptied before each part,
-#: so its record buffer is allocated once, not once per part.
-_CSV_BUFFER = io.StringIO()
-_CSV = csv.writer(_CSV_BUFFER, lineterminator="\n")
-
-
 def render_report(
     config: RunConfig,
     rows: Sequence[dict[str, Any]],
@@ -126,7 +117,7 @@ def render_report(
     the first ``n``'s rows. A report's parts, rendered in order and joined,
     give what ``json.dumps(payload, indent=2) + "\n"``, the csv module or
     the command's text lines give for the whole report."""
-    if config.output_format is OutputFormat.JSON:
+    if config.format is OutputFormat.JSON:
         out = []
         if opens:
             out.append('{\n  "config": ' + _json(config.to_dict(), 1) + ',\n  "results": [')
@@ -138,14 +129,14 @@ def render_report(
         if all_passed is not None:
             out.append('\n  ],\n  "all_passed": ' + json.dumps(all_passed) + "\n}\n")
         return "".join(out)
-    if config.output_format is OutputFormat.CSV:
+    if config.format is OutputFormat.CSV:
         columns = {"eval": EVAL_CSV_COLUMNS, "table": TABLE_CSV_COLUMNS}.get(config.command, CSV_COLUMNS)
-        _CSV_BUFFER.seek(0)
-        _CSV_BUFFER.truncate(0)
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
         if opens:
-            _CSV.writerow(columns)
-        _CSV.writerows([_cell(row.get(col)) for col in columns] for row in rows)
-        return _CSV_BUFFER.getvalue()
+            writer.writerow(columns)
+        writer.writerows([_cell(row.get(col)) for col in columns] for row in rows)
+        return buffer.getvalue()
     return "".join(line + "\n" for line in text)
 
 

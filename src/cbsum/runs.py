@@ -93,12 +93,12 @@ def _measured(
     beside the first one measured at its n, with ``extra(record, that one)``."""
     measure = partial(
         run_benchmark,
-        strategies=config.strategies_enabled,
+        strategies=config.strategies,
         repetitions=config.repetitions,
         naive_cutoff=config.naive_cutoff,
     )
     ns = range(config.n_min, config.n_max + 1)
-    for n, records in zip(ns, _map_over(measure, [[n] for n in ns], config.parallelism)):
+    for n, records in zip(ns, _map_over(measure, [[n] for n in ns], config.jobs)):
         ref = next((r for r in records if not r.skipped), None)
         checks = (
             (r.strategy.name, None, None, "skipped", None, extra(r, ref))
@@ -113,7 +113,7 @@ def _measured(
 
 def run_eval(config: RunConfig, emit: Emit) -> list[str]:
     n = config.n_min
-    strategy = config.strategies_enabled[0]
+    strategy = config.strategies[0]
     value, elapsed = timed(identity.EVALUATORS[strategy], n)
     fields = describe_value(value, config)
     row: Row = {"n": n, "strategy": strategy.name, **fields, "duration_ns": elapsed}
@@ -155,8 +155,8 @@ def run_verify(config: RunConfig, emit: Emit) -> list[str]:
 
 def run_steps(config: RunConfig, emit: Emit) -> list[str]:
     ns = list(range(config.n_min, config.n_max + 1))
-    verify = partial(verify_chain_timed, steps=config.steps_enabled)
-    for n, reports in zip(ns, _map_over(verify, ns, config.parallelism)):
+    verify = partial(verify_chain_timed, steps=config.steps)
+    for n, reports in zip(ns, _map_over(verify, ns, config.jobs)):
         checks = ((r.step.name, r.lhs, r.rhs, r.equal, elapsed, {}) for r, elapsed in reports)
         rows = _check_rows(n, checks)
         text = [f"n={n} {r['step_or_strategy']:<15} {'ok' if r['equal'] else 'MISMATCH'}" for r in rows]
@@ -174,7 +174,7 @@ def _bench_keys(record: BenchRecord, ref: BenchRecord | None) -> Row:
 def run_bench(config: RunConfig, emit: Emit) -> list[str]:
     from array import array  # exact medians need every duration: 8 bytes each
 
-    durations = {s: array("q") for s in config.strategies_enabled}
+    durations = {s: array("q") for s in config.strategies}
     for _, records, rows in _measured(config, _bench_keys):
         text = []
         for record, row in zip(records, rows):
@@ -192,7 +192,7 @@ def run_bench(config: RunConfig, emit: Emit) -> list[str]:
         passed = emit(rows, text)
     text = [
         f"median {strategy.name:<12} {median_ns(durations[strategy]) / 1e6:10.3f} ms"
-        for strategy in config.strategies_enabled
+        for strategy in config.strategies
         if len(durations[strategy])
     ]
     text.append("values consistent" if passed else "VALUE MISMATCH")
@@ -202,7 +202,7 @@ def run_bench(config: RunConfig, emit: Emit) -> list[str]:
 # --- table ------------------------------------------------------------------
 
 def run_table(config: RunConfig, emit: Emit) -> list[str]:
-    strategy = config.strategies_enabled[0]
+    strategy = config.strategies[0]
     ns = range(config.n_min, config.n_max + 1)
     if strategy is identity.Strategy.CLOSED_FORM:
         values = map(identity.evaluate_closed_form, ns, central_binomials(ns))

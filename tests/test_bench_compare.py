@@ -56,6 +56,19 @@ def test_committed_pair_exits_0():
     ]
 
 
+def test_snapshot_without_commit_reads_unknown(tmp_path):
+    change = json.loads(CHANGE.read_text())
+    change["commit"] = None  # as written outside a git checkout
+    path = tmp_path / "BENCH_no_commit.json"
+    path.write_text(json.dumps(change))
+    result = run(BASE, path)
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert "-> pr14 (unknown)" in lines[0]
+    assert len(lines) == 1 + 12 + 4
+    assert all(line.endswith(("ok", "unresolved")) for line in lines[1:])
+
+
 def test_worse_median_exits_1(tmp_path):
     # every chain-steps run of the change 0.2 MB above the base's median,
     # twice the metric's bound, with the base's quartiles all but equal

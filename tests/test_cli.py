@@ -41,15 +41,17 @@ def rows_from_csv(output: str) -> list[dict]:
     return list(csv.DictReader(io.StringIO(output)))
 
 
-def assert_usage_error(argv: list[str], fragment: str, env: dict[str, str] | None = None) -> None:
-    """``argv`` exits 2 with ``fragment`` in its message, and raises
-    click.UsageError when the CLI is embedded."""
+def assert_usage_error(argv: list[str], *fragments: str, env: dict[str, str] | None = None) -> None:
+    """``argv`` exits 2 with each of ``fragments`` in its message, and
+    raises click.UsageError with that message when the CLI is embedded."""
     result = CliRunner().invoke(main, argv, env=env)
     assert result.exit_code == 2, result.output
-    assert fragment in result.output
     with mock.patch.dict(os.environ, env or {}):
-        with pytest.raises(click.UsageError, match=re.escape(fragment)):
+        with pytest.raises(click.UsageError) as raised:
             main.main(argv, standalone_mode=False)
+    for fragment in fragments:
+        assert fragment in result.output
+        assert fragment in raised.value.format_message()
 
 
 class TestParseRange:
@@ -91,7 +93,7 @@ class TestEval:
         assert result.output.strip() == expected
 
     def test_invalid_size_is_usage_error(self):
-        assert_usage_error(["eval", "--n", "-1"], "n must be >= 0, got -1")
+        assert_usage_error(["eval", "--n", "-1"], "Invalid value for '--n'", "x>=0")
 
     def test_json_shape(self, runner):
         result = runner.invoke(main, ["eval", "--n", "3", "--format", "json"])
@@ -213,7 +215,7 @@ class TestVerify:
         assert mask_durations(forward.output) == mask_durations(backward.output)
         assert json.loads(backward.output)["config"]["strategies"] == ["NAIVE", "CLOSED_FORM"]
 
-    def test_jobs_env_var_sets_parallelism(self, runner):
+    def test_jobs_env_var_sets_jobs(self, runner):
         result = runner.invoke(
             main,
             ["verify", "--range", "0..3", "--format", "json"],
@@ -495,6 +497,10 @@ def test_stopped_clock_reads_1_ns(runner, monkeypatch, argv):
         assert row["duration_ns"] == (None if row in skipped else 1), row
 
 
+#: The lowest value each bounded option takes.
+BOUNDS = {"--n": 0, "--naive-cutoff": 0, "--digest-threshold": 0, "--jobs": 1, "--repetitions": 1}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -502,31 +508,59 @@ def test_stopped_clock_reads_1_ns(runner, monkeypatch, argv):
         ["bench", "--n", "2", "--naive-cutoff", "-1"],
         ["eval", "--n", "2", "--digest-threshold", "-1"],
         ["table", "--range", "0..2", "--digest-threshold", "-1"],
+        ["eval", "--n", "-1"],
+        ["bench", "--n", "-1"],
+        ["verify", "--range", "0..2", "--jobs", "0"],
+        ["CBSUM_JOBS=0", "steps", "--range", "1..2"],
+        ["bench", "--n", "2", "--repetitions", "0"],
     ],
 )
 def test_negative_bound_is_usage_error(argv):
-    name = argv[-2].lstrip("-").replace("-", " ")
-    assert_usage_error(argv, f"{name} must be >= 0, got -1")
+    # one below the bound: the message names the option and its range
+    env = dict(word.split("=") for word in argv if "=" in word)
+    argv = [word for word in argv if "=" not in word]
+    option = "--jobs" if env else argv[-2]
+    assert_usage_error(argv, f"Invalid value for '{option}'", f"x>={BOUNDS[option]}", env=env)
+
+
+@pytest.mark.parametrize(
+    "command,options",
+    [
+        ("eval", ["--n", "--naive-cutoff", "--digest-threshold"]),
+        ("verify", ["--jobs", "--naive-cutoff"]),
+        ("steps", ["--jobs"]),
+        ("bench", ["--n", "--repetitions", "--naive-cutoff"]),
+        ("table", ["--naive-cutoff", "--digest-threshold"]),
+    ],
+)
+def test_help_shows_each_bound(runner, command, options):
+    result = runner.invoke(main, [command, "--help"])
+    assert result.exit_code == 0, result.output
+    # one entry per option, its wrapped lines joined
+    entries = {e.split()[0]: " ".join(e.split()) for e in re.split(r"\n(?=  -)", result.output)[1:]}
+    assert {name for name, entry in entries.items() if "x>=" in entry} == set(options)
+    for name in options:
+        assert f"x>={BOUNDS[name]}" in entries[name].rsplit("[", 1)[-1]  # the closing [...]
 
 
 @pytest.mark.parametrize(
     "argv,fragment,env",
     [
-        (["bench", "--n", "-1"], "n must be >= 0, got -1", None),
+        (["bench", "--n", "-1"], "Invalid value for '--n'", None),
         (["verify", "--range", "-1..2"], "bad range '-1..2': n must be >= 0", None),
         (["table", "--range", "5..2"], "bad range '5..2': lower bound exceeds upper", None),
         (["steps", "--range", "abc"], "bad range 'abc': expected N or A..B", None),
-        (["verify", "--range", "0..2", "--jobs", "0"], "parallelism must be >= 1, got 0", None),
-        (["steps", "--range", "1..2", "--jobs", "0"], "parallelism must be >= 1, got 0", None),
-        (["verify", "--range", "0..2"], "parallelism must be >= 1, got 0", {"CBSUM_JOBS": "0"}),
-        (["bench", "--n", "2", "--repetitions", "0"], "repetitions must be >= 1, got 0", None),
+        (["verify", "--range", "0..2", "--jobs", "0"], "Invalid value for '--jobs'", None),
+        (["steps", "--range", "1..2", "--jobs", "0"], "Invalid value for '--jobs'", None),
+        (["verify", "--range", "0..2"], "Invalid value for '--jobs'", {"CBSUM_JOBS": "0"}),
+        (["bench", "--n", "2", "--repetitions", "0"], "Invalid value for '--repetitions'", None),
         # naive alone above its cutoff would measure nothing, yet pass
         (["bench", "--n", "5", "--strategy", "naive", "--naive-cutoff", "2"], "enable at least one", None),
     ],
 )
 def test_usage_error_exits_2_and_raises_when_embedded(argv, fragment, env):
     # the other usage errors are inputs of the command tests above
-    assert_usage_error(argv, fragment, env)
+    assert_usage_error(argv, fragment, env=env)
 
 
 def test_internal_error_exits_3_with_traceback(runner, monkeypatch):
@@ -644,8 +678,9 @@ class TestEmbedded:
         assert "MISMATCH" in capsys.readouterr().out
 
     def test_usage_error_propagates(self):
-        with pytest.raises(click.UsageError, match="n must be >= 0"):
+        with pytest.raises(click.UsageError) as raised:
             main.main(["eval", "--n", "-1"], standalone_mode=False)
+        assert "Invalid value for '--n'" in raised.value.format_message()
 
 
 @pytest.mark.parametrize(
@@ -963,7 +998,7 @@ def split_reports(draw):
     """A config, flat rows with one text line each, and cuts that split
     them into non-empty parts."""
     command = draw(st.sampled_from(["eval", "table", "verify"]))
-    config = report.RunConfig(command, 0, 3, output_format=draw(st.sampled_from(list(report.OutputFormat))))
+    config = report.RunConfig(command, 0, 3, format=draw(st.sampled_from(list(report.OutputFormat))))
     keys = st.sampled_from(report.CSV_COLUMNS + report.EVAL_CSV_COLUMNS + report.TABLE_CSV_COLUMNS)
     rows = draw(st.lists(st.dictionaries(keys, CELLS, max_size=6), min_size=1, max_size=8))
     text = draw(st.lists(LINES, min_size=len(rows), max_size=len(rows)))
@@ -978,7 +1013,7 @@ def test_parts_join_to_the_whole_report(report_parts, closing, all_passed):
     parts = [report.render_report(config, rows[a:b], text[a:b], a == 0) for a, b in zip(bounds, bounds[1:])]
     parts.append(report.render_report(config, [], closing, False, all_passed))
     joined = "".join(parts)
-    if config.output_format is report.OutputFormat.JSON:
+    if config.format is report.OutputFormat.JSON:
         payload = {"config": config.to_dict(), "results": rows, "all_passed": all_passed}
         assert joined == json.dumps(payload, indent=2) + "\n"
     else:

@@ -109,7 +109,9 @@ def main(argv: list[str] | None = None) -> int:
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     rows = compare(base, change, benchmark)
     failed = failures(base, change, benchmark)
-    print(f"{base['label']} ({base['commit'][:7]}) -> {change['label']} ({change['commit'][:7]}), seeds {base['seeds']}")
+    # a snapshot taken outside a git checkout records no commit
+    commits = [(snapshot["commit"] or "unknown")[:7] for snapshot in (base, change)]
+    print(f"{base['label']} ({commits[0]}) -> {change['label']} ({commits[1]}), seeds {base['seeds']}")
     for r in rows:
         print(
             f"{r['workload']:<12} {r['metric']:<12} {_spread(r['base'])} -> {_spread(r['change'])} {r['unit']}"
