@@ -516,7 +516,8 @@ BOUNDS = {"--n": 0, "--naive-cutoff": 0, "--digest-threshold": 0, "--jobs": 1, "
     ],
 )
 def test_negative_bound_is_usage_error(argv):
-    # one below the bound: the message names the option and its range
+    # one below the bound: the message names the option and its range;
+    # CBSUM_JOBS=0 is written before the command, as in a shell
     env = dict(word.split("=") for word in argv if "=" in word)
     argv = [word for word in argv if "=" not in word]
     option = "--jobs" if env else argv[-2]
