@@ -8,14 +8,15 @@ written (128 + SIGPIPE). ``main.main(argv, standalone_mode=False)``
 returns the code instead of exiting, and lets exceptions propagate.
 
 Every usage error is raised here, as a ``click.UsageError``. A bound on
-one option is its ``click.IntRange``, named in the message and shown by
-``--help``: ``--n``, ``--naive-cutoff``, ``--digest-threshold`` >= 0,
-``--jobs`` (``CBSUM_JOBS``), ``--repetitions`` >= 1; ``--range`` reads
-``N`` or ``A..B``, 0 <= A <= B. Rules that tie options together sit in
-their command: ``steps`` needs n >= 1; ``eval`` and ``table`` refuse the
-naive strategy above ``--naive-cutoff``; ``verify`` needs two strategies
-measured at every n, ``bench`` one; ``bench`` takes exactly one of
-``--n`` and ``--range``.
+one option is its type, named in the message and shown by ``--help``:
+``click.IntRange`` keeps ``--n``, ``--naive-cutoff``,
+``--digest-threshold`` >= 0, ``--jobs`` (``CBSUM_JOBS``) and
+``--repetitions`` >= 1; :class:`NRange` reads ``--range`` as ``N`` or
+``A..B``, A <= B, with A >= 0, or A >= 1 for ``steps``. Rules that tie
+options together sit in their command: one rule,
+:func:`_require_measured`, counts the strategies measured at the largest
+n, which ``eval``, ``table`` and ``bench`` need one of and ``verify``
+two; ``bench`` takes exactly one of ``--n`` and ``--range``.
 """
 from __future__ import annotations
 
@@ -29,28 +30,36 @@ from . import __version__
 from .bench import DEFAULT_NAIVE_CUTOFF, skipped
 from .chain import CHAIN_COMPARISONS
 from .identity import Strategy
-from .report import DEFAULT_DIGEST_THRESHOLD, OutputFormat, RunConfig, render_report, rows_pass
+from .report import DEFAULT_DIGEST_THRESHOLD, RunConfig, render_report, rows_pass
 from .runs import run_bench, run_eval, run_steps, run_table, run_verify
 
 STRATEGY_NAMES = {s.value: s for s in Strategy}
 STEP_NAMES = {s.name: s for s in CHAIN_COMPARISONS}
 
 
-def parse_range(spec: str) -> tuple[int, int]:
-    """Parse ``A..B`` (inclusive) or a single ``N`` into (n_min, n_max)."""
-    try:
-        if ".." in spec:
-            lo_text, hi_text = spec.split("..", 1)
-            lo, hi = int(lo_text), int(hi_text)
-        else:
-            lo = hi = int(spec)
-    except ValueError:
-        raise click.UsageError(f"bad range {spec!r}: expected N or A..B")
-    if lo < 0:
-        raise click.UsageError(f"bad range {spec!r}: n must be >= 0")
-    if lo > hi:
-        raise click.UsageError(f"bad range {spec!r}: lower bound exceeds upper")
-    return lo, hi
+class NRange(click.ParamType):
+    """``--range``: ``N`` or ``A..B`` (inclusive), as ``(n_min, n_max)``,
+    with ``n_min >= least``; ``why`` gives the reason for a ``least`` above 0."""
+
+    name = "range"
+
+    def __init__(self, least: int = 0, why: str = "") -> None:
+        self.least, self.why = least, why
+
+    def convert(self, value: Any, param: Any, ctx: Any) -> tuple[int, int]:
+        if isinstance(value, tuple):
+            return value
+        lo_text, dots, hi_text = value.partition("..")
+        try:
+            lo = int(lo_text)
+            hi = int(hi_text) if dots else lo
+        except ValueError:
+            self.fail(f"{value!r}: expected N or A..B", param, ctx)
+        if lo < self.least:
+            self.fail(f"{value!r}: n must be >= {self.least}" + (self.why and ": " + self.why), param, ctx)
+        if lo > hi:
+            self.fail(f"{value!r}: lower bound exceeds upper", param, ctx)
+        return lo, hi
 
 
 def _choice_option(flag: str, field: str, by_name: dict[str, Any], **kwargs: Any):
@@ -94,36 +103,26 @@ def _finish(runner, n_min: int, n_max: int, **fields: Any) -> None:
     ctx.exit(0 if passed else 1)
 
 
-def _refuse_naive_above_cutoff(
-    n_max: int, strategies: tuple[Strategy, ...], naive_cutoff: int
-) -> None:
-    if any(skipped(s, n_max, naive_cutoff) for s in strategies):
-        raise click.UsageError(
-            "the naive strategy runs only up to n = --naive-cutoff "
-            f"({naive_cutoff}), got n={n_max}; raise --naive-cutoff "
-            "to run it anyway"
-        )
-
-
 def _require_measured(
-    least: int, why: str, n_max: int, strategies: tuple[Strategy, ...], naive_cutoff: int
+    least: int, n_max: int, strategies: tuple[Strategy, ...], naive_cutoff: int
 ) -> None:
-    # naive is skipped above the cutoff, so n_max measures the fewest
+    # a strategy is skipped above its cutoff, so n_max measures the fewest
     measured = sum(not skipped(s, n_max, naive_cutoff) for s in strategies)
     if measured < least:
+        command = click.get_current_context().command.name
         raise click.UsageError(
-            f"{why}, but at n={n_max} only {measured} would be measured; "
-            f"enable at least {('one', 'two')[least - 1]} "
-            "(naive counts only up to --naive-cutoff)"
+            f"{command} needs {least} {('strategy', 'strategies')[least > 1]} measured "
+            f"at every n, but at n={n_max} only {measured} would be: strategies are "
+            f"skipped above their cutoffs (--naive-cutoff {naive_cutoff}); name "
+            "another --strategy or raise the cutoff"
         )
 
 
 format_option = click.option(
     "--format",
-    type=click.Choice([f.value for f in OutputFormat]),
-    default=OutputFormat.TEXT.value,
+    type=click.Choice(["json", "csv", "text"]),
+    default="text",
     show_default=True,
-    callback=lambda ctx, param, value: OutputFormat(value),
     help="Report encoding.",
 )
 jobs_option = click.option(
@@ -212,78 +211,69 @@ def main() -> None:
 @digest_threshold_option
 def eval_cmd(n: int, **fields: Any) -> None:
     """Print S(n) computed with one strategy."""
-    _refuse_naive_above_cutoff(n, fields["strategies"], fields["naive_cutoff"])
+    _require_measured(1, n, fields["strategies"], fields["naive_cutoff"])
     _finish(run_eval, n_min=n, n_max=n, **fields)
 
 
 @main.command("verify")
-@click.option("--range", "range_spec", required=True, help="Range of n, e.g. 0..50.")
+@click.option("--range", "n_range", type=NRange(), required=True, help="Range of n, e.g. 0..50.")
 @strategies_option
 @format_option
 @jobs_option
 @cutoff_option
-def verify_cmd(range_spec: str, **fields: Any) -> None:
+def verify_cmd(n_range: tuple[int, int], **fields: Any) -> None:
     """Check that all strategies agree on S(n) across a range.
 
     Exits 1 as soon as any two strategies disagree anywhere in the range;
     the report pinpoints the n and the differing digests.
     """
-    n_min, n_max = parse_range(range_spec)
-    _require_measured(
-        2, "verify compares strategies", n_max, fields["strategies"], fields["naive_cutoff"]
-    )
-    _finish(run_verify, n_min=n_min, n_max=n_max, **fields)
+    _require_measured(2, n_range[1], fields["strategies"], fields["naive_cutoff"])
+    _finish(run_verify, *n_range, **fields)
 
 
 @main.command("steps")
-@click.option("--range", "range_spec", required=True, help="Range of n, e.g. 1..20.")
+@click.option(
+    "--range", "n_range", required=True, help="Range of n >= 1, e.g. 1..20.",
+    type=NRange(1, "the derivation divides by 2n(2n-1), which degenerates at n = 0"),
+)
 @_choice_option(
     "--step", "steps", STEP_NAMES, multiple=True,
     help="Chain comparisons to run, and so lines to evaluate (default: all seven).",
 )
 @format_option
 @jobs_option
-def steps_cmd(range_spec: str, **fields: Any) -> None:
+def steps_cmd(n_range: tuple[int, int], **fields: Any) -> None:
     """Verify every line of the derivation chain across a range of n."""
-    n_min, n_max = parse_range(range_spec)
-    if n_min < 1:
-        raise click.UsageError(
-            "chain steps need n >= 1: the derivation divides by 2n(2n-1), "
-            "which degenerates at n = 0"
-        )
-    _finish(run_steps, n_min=n_min, n_max=n_max, **fields)
+    _finish(run_steps, *n_range, **fields)
 
 
 @main.command("bench")
 @click.option("--n", type=click.IntRange(min=0), default=None, help="Single problem size.")
-@click.option("--range", "range_spec", default=None, help="Range of n, e.g. 10..20.")
+@click.option("--range", "n_range", type=NRange(), default=None, help="Range of n, e.g. 10..20.")
 @strategies_option
 @click.option("--repetitions", type=click.IntRange(min=1), default=5, show_default=True)
 @format_option
 @cutoff_option
-def bench_cmd(n: int | None, range_spec: str | None, **fields: Any) -> None:
+def bench_cmd(n: int | None, n_range: tuple[int, int] | None, **fields: Any) -> None:
     """Time the strategies and cross-check their values."""
-    if (n is None) == (range_spec is None):
+    if (n is None) == (n_range is None):
         raise click.UsageError("provide exactly one of --n or --range")
-    n_min, n_max = (n, n) if n is not None else parse_range(range_spec)
-    _require_measured(
-        1, "bench times strategies", n_max, fields["strategies"], fields["naive_cutoff"]
-    )
-    _finish(run_bench, n_min=n_min, n_max=n_max, **fields)
+    n_min, n_max = (n, n) if n_range is None else n_range
+    _require_measured(1, n_max, fields["strategies"], fields["naive_cutoff"])
+    _finish(run_bench, n_min, n_max, **fields)
 
 
 @main.command("table")
-@click.option("--range", "range_spec", required=True, help="Range of n, e.g. 0..20.")
+@click.option("--range", "n_range", type=NRange(), required=True, help="Range of n, e.g. 0..20.")
 @strategy_option
 @format_option
 @cutoff_option
 @full_decimal_option
 @digest_threshold_option
-def table_cmd(range_spec: str, **fields: Any) -> None:
+def table_cmd(n_range: tuple[int, int], **fields: Any) -> None:
     """Tabulate n, S(n) and its decimal digit count over a range."""
-    n_min, n_max = parse_range(range_spec)
-    _refuse_naive_above_cutoff(n_max, fields["strategies"], fields["naive_cutoff"])
-    _finish(run_table, n_min=n_min, n_max=n_max, **fields)
+    _require_measured(1, n_range[1], fields["strategies"], fields["naive_cutoff"])
+    _finish(run_table, *n_range, **fields)
 
 
 if __name__ == "__main__":

@@ -22,7 +22,6 @@ output is deterministic regardless of worker count.
 from __future__ import annotations
 
 import csv
-import enum
 import io
 import json
 from dataclasses import dataclass, fields
@@ -43,12 +42,6 @@ TABLE_CSV_COLUMNS = ("n", "value", "digest", "digits")
 DEFAULT_DIGEST_THRESHOLD = 1000
 
 
-class OutputFormat(enum.Enum):
-    JSON = "json"
-    CSV = "csv"
-    TEXT = "text"
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Everything that determines a run's output: a record that the CLI
@@ -64,7 +57,7 @@ class RunConfig:
     n_max: int
     strategies: tuple[Strategy, ...] = ()
     steps: tuple[StepId, ...] = CHAIN_COMPARISONS
-    format: OutputFormat = OutputFormat.TEXT
+    format: str = "text"
     jobs: int = 1
     repetitions: int = 1
     naive_cutoff: int = DEFAULT_NAIVE_CUTOFF
@@ -77,8 +70,6 @@ class RunConfig:
 
 
 def _plain(value: Any) -> Any:
-    if isinstance(value, OutputFormat):  # by its value, as --format takes it
-        return value.value
     if isinstance(value, tuple):
         return [member.name for member in value]
     return value
@@ -99,9 +90,9 @@ def rows_pass(rows: Sequence[Mapping[str, Any]]) -> bool:
 _JSON = json.JSONEncoder(indent=2)
 
 
-def _json(value: Any, depth: int) -> str:
-    """``value`` as ``json.dumps(..., indent=2)`` writes it ``depth`` levels deep."""
-    return _JSON.encode(value).replace("\n", "\n" + "  " * depth)
+def _json(value: Any) -> str:
+    """``value`` as ``json.dumps(..., indent=2)`` writes it one level deep."""
+    return _JSON.encode(value).replace("\n", "\n  ")
 
 
 def render_report(
@@ -117,19 +108,19 @@ def render_report(
     the first ``n``'s rows. A report's parts, rendered in order and joined,
     give what ``json.dumps(payload, indent=2) + "\n"``, the csv module or
     the command's text lines give for the whole report."""
-    if config.format is OutputFormat.JSON:
+    if config.format == "json":
         out = []
         if opens:
-            out.append('{\n  "config": ' + _json(config.to_dict(), 1) + ',\n  "results": [')
+            out.append('{\n  "config": ' + _json(config.to_dict()) + ',\n  "results": [')
         if rows:
             # the rows as one list, one level deep, without its brackets:
             # "\n    {...},\n    {...}"
-            encoded = _json(rows, 1)[1 : -len("\n  ]")]
+            encoded = _json(rows)[1 : -len("\n  ]")]
             out.append(encoded if opens else "," + encoded)
         if all_passed is not None:
             out.append('\n  ],\n  "all_passed": ' + json.dumps(all_passed) + "\n}\n")
         return "".join(out)
-    if config.format is OutputFormat.CSV:
+    if config.format == "csv":
         columns = {"eval": EVAL_CSV_COLUMNS, "table": TABLE_CSV_COLUMNS}.get(config.command, CSV_COLUMNS)
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")

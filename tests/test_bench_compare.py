@@ -95,6 +95,29 @@ def test_different_seeds_are_refused(tmp_path):
     assert "different seeds" in result.stderr
 
 
+@pytest.mark.parametrize(
+    "side,drop,lacks",
+    [
+        ("base", ("crosscheck",), "workload crosscheck"),
+        ("change", ("wide-table", "metrics", "peak_rss_mb"), "wide-table peak_rss_mb"),
+    ],
+)
+def test_snapshot_missing_a_listed_workload_or_metric_is_refused(tmp_path, side, drop, lacks):
+    # a usage error, not a traceback: exit 1 would read as a worse verdict
+    snapshots = {"base": json.loads(BASE.read_text()), "change": json.loads(CHANGE.read_text())}
+    parent = snapshots[side]["workloads"]
+    for key in drop[:-1]:
+        parent = parent[key]
+    del parent[drop[-1]]
+    path = tmp_path / f"BENCH_{side}_lacking.json"
+    path.write_text(json.dumps(snapshots[side]))
+    paths = {"base": BASE, "change": CHANGE, side: path}
+    result = run(paths["base"], paths["change"])
+    assert result.returncode == 2, result.stderr
+    assert f"{path} lacks what BENCHMARK.json lists: {lacks}" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_failed_run_exits_1(tmp_path):
     # one run of the change's crosscheck failed an operation: a larger
     # share of failures than the base's none, and not correct

@@ -25,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 import cbsum
 from cbsum import chain, cli, combinatorics, digests, identity, report, runs
 from cbsum.chain import CHAIN_COMPARISONS, StepId
-from cbsum.cli import main, parse_range
+from cbsum.cli import NRange, main
 from cbsum.identity import Strategy
 
 from oracle import closed_form_by_comb
@@ -56,15 +56,22 @@ def assert_usage_error(argv: list[str], *fragments: str, env: dict[str, str] | N
 
 class TestParseRange:
     def test_forms(self):
-        assert parse_range("0..50") == (0, 50)
-        assert parse_range("7") == (7, 7)
+        assert NRange().convert("0..50", None, None) == (0, 50)
+        assert NRange().convert("7", None, None) == (7, 7)
+        # a value click has converted already comes back as it is
+        assert NRange().convert((3, 4), None, None) == (3, 4)
 
-    @pytest.mark.parametrize("bad", ["abc", "5..2", "-3..4", "1..x", ""])
+    @pytest.mark.parametrize("bad", ["abc", "5..2", "-3..4", "1..x", "", "1.."])
     def test_rejects_malformed(self, bad):
-        import click
+        for command in ("verify", "steps", "bench", "table"):
+            assert_usage_error([command, "--range", bad], "Invalid value for '--range'")
 
-        with pytest.raises(click.UsageError):
-            parse_range(bad)
+    def test_bench_range_of_one_is_bench_n(self, runner):
+        argv = ["--repetitions", "2", "--format", "json"]
+        by_range = runner.invoke(main, ["bench", "--range", "4", *argv])
+        by_n = runner.invoke(main, ["bench", "--n", "4", *argv])
+        assert by_range.exit_code == by_n.exit_code == 0, by_range.output
+        assert mask_durations(by_range.output) == mask_durations(by_n.output)
 
 
 def test_version_matches_package_and_pyproject(runner):
@@ -205,7 +212,7 @@ class TestVerify:
         ],
     )
     def test_fewer_than_two_measured_strategies_is_usage_error(self, argv):
-        assert_usage_error(argv, "enable at least two")
+        assert_usage_error(argv, "verify needs 2 strategies measured at every n", "only 1 would be")
 
     def test_strategy_order_is_canonical(self, runner):
         argv = ["verify", "--range", "0..2", "--format", "json"]
@@ -241,7 +248,7 @@ class TestSteps:
         assert all(r["equal"] == "true" for r in rows)
 
     def test_zero_is_usage_error_naming_constraint(self):
-        assert_usage_error(["steps", "--range", "0..5"], "2n(2n-1)")
+        assert_usage_error(["steps", "--range", "0..5"], "Invalid value for '--range'", "2n(2n-1)")
 
     def test_step_filter(self, runner):
         result = runner.invoke(
@@ -447,7 +454,7 @@ def test_digested_value_is_converted_once(runner, monkeypatch, argv, values):
 def test_each_n_is_digested_before_the_next_is_evaluated(runner, monkeypatch, argv):
     # values are dropped n by n, not held for the whole range: the digests
     # of n all come before the first evaluation at n + 1, which is naive's
-    lo, hi = parse_range(argv[2])
+    lo, hi = map(int, argv[2].split(".."))
     # S(n) and every chain line's value, each at one n only
     n_of = {v: n for n in range(lo, hi + 1) for r in chain.verify_chain(n) for v in (r.lhs, r.rhs)}
     events = []
@@ -548,15 +555,15 @@ def test_help_shows_each_bound(runner, command, options):
     "argv,fragment,env",
     [
         (["bench", "--n", "-1"], "Invalid value for '--n'", None),
-        (["verify", "--range", "-1..2"], "bad range '-1..2': n must be >= 0", None),
-        (["table", "--range", "5..2"], "bad range '5..2': lower bound exceeds upper", None),
-        (["steps", "--range", "abc"], "bad range 'abc': expected N or A..B", None),
+        (["verify", "--range", "-1..2"], "Invalid value for '--range': '-1..2': n must be >= 0", None),
+        (["table", "--range", "5..2"], "Invalid value for '--range': '5..2': lower bound exceeds upper", None),
+        (["steps", "--range", "abc"], "Invalid value for '--range': 'abc': expected N or A..B", None),
         (["verify", "--range", "0..2", "--jobs", "0"], "Invalid value for '--jobs'", None),
         (["steps", "--range", "1..2", "--jobs", "0"], "Invalid value for '--jobs'", None),
         (["verify", "--range", "0..2"], "Invalid value for '--jobs'", {"CBSUM_JOBS": "0"}),
         (["bench", "--n", "2", "--repetitions", "0"], "Invalid value for '--repetitions'", None),
         # naive alone above its cutoff would measure nothing, yet pass
-        (["bench", "--n", "5", "--strategy", "naive", "--naive-cutoff", "2"], "enable at least one", None),
+        (["bench", "--n", "5", "--strategy", "naive", "--naive-cutoff", "2"], "bench needs 1 strategy measured", None),
     ],
 )
 def test_usage_error_exits_2_and_raises_when_embedded(argv, fragment, env):
@@ -902,7 +909,8 @@ class TestNaiveCutoffOnValueCommands:
         ],
     )
     def test_naive_above_cutoff_is_usage_error(self, argv):
-        assert_usage_error(argv, "naive strategy runs only up to n = --naive-cutoff")
+        cutoff = argv[argv.index("--naive-cutoff") + 1] if "--naive-cutoff" in argv else "3000"
+        assert_usage_error(argv, "needs 1 strategy measured", "only 0 would be", f"--naive-cutoff {cutoff}")
 
     def test_naive_up_to_cutoff_runs(self, runner):
         argv = ["table", "--range", "0..10", "--strategy", "naive", "--format", "csv"]
@@ -915,6 +923,27 @@ class TestNaiveCutoffOnValueCommands:
     def test_cutoff_binds_only_naive(self, runner):
         result = runner.invoke(main, ["eval", "--n", "11", "--strategy", "symmetrized", "--naive-cutoff", "10"])
         assert result.exit_code == 0
+
+
+@pytest.mark.parametrize(
+    "template",
+    [
+        ("eval", "--n", "{n}", "--strategy", "naive"),
+        ("table", "--range", "0..{n}", "--strategy", "naive"),
+        ("bench", "--n", "{n}", "--strategy", "naive", "--repetitions", "1"),
+        ("verify", "--range", "{n}", "--strategy", "naive", "--strategy", "closed-form"),
+    ],
+    ids=lambda template: template[0],
+)
+def test_naive_runs_at_its_cutoff_and_is_refused_above(runner, template):
+    # one rule for every command: naive counts as measured up to n = c
+    def argv(n):
+        return [word.format(n=n) for word in template] + ["--naive-cutoff", "4"]
+
+    result = runner.invoke(main, argv(4))
+    assert result.exit_code == 0, result.output
+    least = 2 if template[0] == "verify" else 1
+    assert_usage_error(argv(5), f"{template[0]} needs {least}", f"at n=5 only {least - 1} would be", "--naive-cutoff 4")
 
 
 def mask_jobs(report: str) -> str:
@@ -999,7 +1028,7 @@ def split_reports(draw):
     """A config, flat rows with one text line each, and cuts that split
     them into non-empty parts."""
     command = draw(st.sampled_from(["eval", "table", "verify"]))
-    config = report.RunConfig(command, 0, 3, format=draw(st.sampled_from(list(report.OutputFormat))))
+    config = report.RunConfig(command, 0, 3, format=draw(st.sampled_from(["json", "csv", "text"])))
     keys = st.sampled_from(report.CSV_COLUMNS + report.EVAL_CSV_COLUMNS + report.TABLE_CSV_COLUMNS)
     rows = draw(st.lists(st.dictionaries(keys, CELLS, max_size=6), min_size=1, max_size=8))
     text = draw(st.lists(LINES, min_size=len(rows), max_size=len(rows)))
@@ -1014,7 +1043,7 @@ def test_parts_join_to_the_whole_report(report_parts, closing, all_passed):
     parts = [report.render_report(config, rows[a:b], text[a:b], a == 0) for a, b in zip(bounds, bounds[1:])]
     parts.append(report.render_report(config, [], closing, False, all_passed))
     joined = "".join(parts)
-    if config.format is report.OutputFormat.JSON:
+    if config.format == "json":
         payload = {"config": config.to_dict(), "results": rows, "all_passed": all_passed}
         assert joined == json.dumps(payload, indent=2) + "\n"
     else:

@@ -22,7 +22,9 @@ snapshots and whether every run of each was ``correct``. The row reads
 ``worse`` if the change's share of failed operations is larger than the
 base's, or if some run of the change was not correct; else ``ok``.
 
-The script exits 1 if any row is ``worse``, and 0 otherwise.
+The script exits 1 if any row is ``worse``, and 0 otherwise. It exits
+2, comparing nothing, if the snapshots ran different seeds or if one of
+them lacks a workload or a metric that ``BENCHMARK.json`` lists.
 """
 from __future__ import annotations
 
@@ -90,6 +92,19 @@ def failures(base: dict, change: dict, benchmark: dict) -> list[dict]:
     return rows
 
 
+def missing(snapshot: dict, benchmark: dict) -> list[str]:
+    """The workloads, and end-to-end metrics of a workload, that
+    ``benchmark`` lists and ``snapshot`` lacks."""
+    lacks = []
+    for workload in (w["name"] for w in benchmark["workloads"]):
+        if workload not in snapshot["workloads"]:
+            lacks.append(f"workload {workload}")
+            continue
+        metrics = snapshot["workloads"][workload].get("metrics", {})
+        lacks += [f"{workload} {m['name']}" for m in benchmark["end_to_end"] if m["name"] not in metrics]
+    return lacks
+
+
 def _failed(w: dict) -> str:
     return f"{w['failed']}/{w['attempted']}{'' if w['correct'] else ' incorrect'}"
 
@@ -107,6 +122,9 @@ def main(argv: list[str] | None = None) -> int:
     if base["seeds"] != change["seeds"]:
         parser.error(f"the snapshots ran different seeds: {base['seeds']} and {change['seeds']}")
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    for path, snapshot in ((args.base, base), (args.change, change)):
+        if lacks := missing(snapshot, benchmark):
+            parser.error(f"{path} lacks what BENCHMARK.json lists: {', '.join(lacks)}")
     rows = compare(base, change, benchmark)
     failed = failures(base, change, benchmark)
     # a snapshot taken outside a git checkout records no commit
