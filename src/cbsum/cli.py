@@ -10,13 +10,13 @@ returns the code instead of exiting, and lets exceptions propagate.
 Every usage error is raised here, as a ``click.UsageError``. A bound on
 one option is its type, named in the message and shown by ``--help``:
 ``click.IntRange`` keeps ``--n``, ``--naive-cutoff``,
-``--digest-threshold`` >= 0, ``--jobs`` (``CBSUM_JOBS``) and
-``--repetitions`` >= 1; :class:`NRange` reads ``--range`` as ``N`` or
-``A..B``, A <= B, with A >= 0, or A >= 1 for ``steps``. Rules that tie
-options together sit in their command: one rule,
-:func:`_require_measured`, counts the strategies measured at the largest
-n, which ``eval``, ``table`` and ``bench`` need one of and ``verify``
-two; ``bench`` takes exactly one of ``--n`` and ``--range``.
+``--digest-threshold`` >= 0, ``--jobs`` (``CBSUM_JOBS``) >= 1 and
+``--repetitions`` from 1 to ``MAX_REPETITIONS``; :class:`NRange` reads
+``--range`` as ``N`` or ``A..B``, A <= B, with A >= 0, or A >= 1 for
+``steps``. Rules that tie options together sit in their command: one
+rule, :func:`_require_measured`, counts the strategies measured at the
+largest n, which ``eval``, ``table`` and ``bench`` need one of and
+``verify`` two; ``bench`` takes exactly one of ``--n`` and ``--range``.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ from typing import Any
 import click
 
 from . import __version__
-from .bench import DEFAULT_NAIVE_CUTOFF, skipped
+from .bench import DEFAULT_NAIVE_CUTOFF, MAX_REPETITIONS, skipped
 from .chain import CHAIN_COMPARISONS
 from .identity import Strategy
 from .report import DEFAULT_DIGEST_THRESHOLD, RunConfig, render_report, rows_pass
@@ -251,7 +251,9 @@ def steps_cmd(n_range: tuple[int, int], **fields: Any) -> None:
 @click.option("--n", type=click.IntRange(min=0), default=None, help="Single problem size.")
 @click.option("--range", "n_range", type=NRange(), default=None, help="Range of n, e.g. 10..20.")
 @strategies_option
-@click.option("--repetitions", type=click.IntRange(min=1), default=5, show_default=True)
+@click.option(
+    "--repetitions", type=click.IntRange(min=1, max=MAX_REPETITIONS), default=5, show_default=True
+)
 @format_option
 @cutoff_option
 def bench_cmd(n: int | None, n_range: tuple[int, int] | None, **fields: Any) -> None:

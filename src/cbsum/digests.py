@@ -3,11 +3,24 @@
 Results in this package routinely run to hundreds of thousands of decimal
 digits, so reports identify them by a SHA-256 digest of their decimal
 representation plus a digit count instead of printing them in full.
+
+SHA-256 comes from the interpreter's built-in module, as ``random`` takes
+its ``sha512``: ``hashlib`` loads OpenSSL, which adds about 3.6 MB to the
+resident set of every call, and every call digests. ``hashlib`` serves
+only a build made without the built-in hashes. Both compute the same
+digest.
 """
 from __future__ import annotations
 
-import hashlib
 import sys
+
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10-3.11
+    except ImportError:  # built without the built-in hashes
+        from hashlib import sha256
 
 #: Widest value, in bits, that :func:`decimal_str` hands to ``str(int)``
 #: when the digit limit allows. ``str`` took 0.6-0.86 of the divide and
@@ -102,7 +115,7 @@ def decimal_digits(value: int) -> int:
 
 def text_digest(text: str) -> str:
     """SHA-256 hex digest of a decimal representation already built."""
-    return hashlib.sha256(text.encode("ascii")).hexdigest()
+    return sha256(text.encode("ascii")).hexdigest()
 
 
 def value_digest(value: int) -> str:

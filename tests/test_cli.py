@@ -24,6 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 import cbsum
 from cbsum import chain, cli, combinatorics, digests, identity, report, runs
+from cbsum.bench import MAX_REPETITIONS
 from cbsum.chain import CHAIN_COMPARISONS, StepId
 from cbsum.cli import NRange, main
 from cbsum.identity import Strategy
@@ -290,6 +291,12 @@ class TestBench:
         assert len(rows) == 9
         assert {r["equal"] for r in rows} == {"true"}
 
+    def test_most_repetitions_run(self, runner):
+        argv = ["bench", "--n", "0", "--strategy", "closed-form", "--repetitions", str(MAX_REPETITIONS)]
+        result = runner.invoke(main, argv + ["--format", "csv"])
+        assert result.exit_code == 0, result.output
+        assert len(rows_from_csv(result.output)) == MAX_REPETITIONS
+
     def test_requires_exactly_one_target(self):
         for argv in (["bench"], ["bench", "--n", "3", "--range", "1..2"]):
             assert_usage_error(argv, "provide exactly one of --n or --range")
@@ -504,8 +511,14 @@ def test_stopped_clock_reads_1_ns(runner, monkeypatch, argv):
         assert row["duration_ns"] == (None if row in skipped else 1), row
 
 
-#: The lowest value each bounded option takes.
-BOUNDS = {"--n": 0, "--naive-cutoff": 0, "--digest-threshold": 0, "--jobs": 1, "--repetitions": 1}
+#: The range each bounded option takes, as click displays it.
+BOUNDS = {
+    "--n": "x>=0",
+    "--naive-cutoff": "x>=0",
+    "--digest-threshold": "x>=0",
+    "--jobs": "x>=1",
+    "--repetitions": f"1<=x<={MAX_REPETITIONS}",
+}
 
 
 @pytest.mark.parametrize(
@@ -528,7 +541,7 @@ def test_negative_bound_is_usage_error(argv):
     env = dict(word.split("=") for word in argv if "=" in word)
     argv = [word for word in argv if "=" not in word]
     option = "--jobs" if env else argv[-2]
-    assert_usage_error(argv, f"Invalid value for '{option}'", f"x>={BOUNDS[option]}", env=env)
+    assert_usage_error(argv, f"Invalid value for '{option}'", BOUNDS[option], env=env)
 
 
 @pytest.mark.parametrize(
@@ -546,9 +559,9 @@ def test_help_shows_each_bound(runner, command, options):
     assert result.exit_code == 0, result.output
     # one entry per option, its wrapped lines joined
     entries = {e.split()[0]: " ".join(e.split()) for e in re.split(r"\n(?=  -)", result.output)[1:]}
-    assert {name for name, entry in entries.items() if "x>=" in entry} == set(options)
+    assert {name for name, entry in entries.items() if re.search("x[<>]=", entry)} == set(options)
     for name in options:
-        assert f"x>={BOUNDS[name]}" in entries[name].rsplit("[", 1)[-1]  # the closing [...]
+        assert BOUNDS[name] in entries[name].rsplit("[", 1)[-1]  # the closing [...]
 
 
 @pytest.mark.parametrize(
@@ -562,6 +575,11 @@ def test_help_shows_each_bound(runner, command, options):
         (["steps", "--range", "1..2", "--jobs", "0"], "Invalid value for '--jobs'", None),
         (["verify", "--range", "0..2"], "Invalid value for '--jobs'", {"CBSUM_JOBS": "0"}),
         (["bench", "--n", "2", "--repetitions", "0"], "Invalid value for '--repetitions'", None),
+        (
+            ["bench", "--n", "2", "--repetitions", str(MAX_REPETITIONS + 1)],
+            f"Invalid value for '--repetitions': {MAX_REPETITIONS + 1} is not in the range 1<=x<=",
+            None,
+        ),
         # naive alone above its cutoff would measure nothing, yet pass
         (["bench", "--n", "5", "--strategy", "naive", "--naive-cutoff", "2"], "bench needs 1 strategy measured", None),
     ],
