@@ -25,11 +25,12 @@ from .identity import EVALUATORS, Strategy
 DEFAULT_NAIVE_CUTOFF = 3000
 
 #: Most repetitions ``bench`` takes. Every record of one n, with its value,
-#: and every row of that n are held until the n is written. At n = 2000,
-#: 10_000 closed-form repetitions took 2.6-3.0 s and peaked at 36-51 MB
-#: RSS (text to JSON), against 17.5 MB for 10 (2-vCPU x86-64 VM, CPython
-#: 3.11): about 3.4 KB and 0.25 ms per repetition, and the other strategies
-#: cost more per repetition still.
+#: and every row of that n are held until the n is written, so the cap is
+#: set where the closed form at n = 2000 stays within about 3 s and 64 MB
+#: of peak RSS: 10_000 repetitions took 2.6-3.0 s and peaked at 36-51 MB
+#: (text to JSON), against 17.5 MB for 10 (2-vCPU x86-64 VM, CPython
+#: 3.11), about 3.4 KB and 0.25 ms per repetition. The reference sums cost
+#: far more per repetition; their time is for their cutoffs to bound.
 MAX_REPETITIONS = 10_000
 
 

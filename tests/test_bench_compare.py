@@ -39,8 +39,8 @@ def test_verdicts_on_committed_pair(bench_compare):
     assert {r["verdict"] for r in rows} == {"ok", "unresolved"}
 
 
-def run(*paths: Path) -> subprocess.CompletedProcess:
-    return subprocess.run([sys.executable, str(SCRIPT), *map(str, paths)], capture_output=True, text=True, timeout=60)
+def run(*args: Path | str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, str(SCRIPT), *map(str, args)], capture_output=True, text=True, timeout=60)
 
 
 def test_committed_pair_exits_0():
@@ -145,3 +145,37 @@ def test_failure_share_and_correctness_decide_the_verdict(bench_compare):
     assert verdict(1, 150) == "ok"  # a smaller share
     assert verdict(2, 150) == "worse"
     assert verdict(0, 100, correct=False) == "worse"
+
+
+@pytest.mark.parametrize(
+    "claim,code,line",
+    [
+        (("wide-table", "peak_rss_mb"), 0, "claim wide-table peak_rss_mb: met  better 10/10, delta -2.743 MB, base IQR 0.000"),
+        (("big-eval", "wall_s"), 1, "claim big-eval wall_s: not met  better 3/10, delta +0.022 s, base IQR 0.042"),
+    ],
+)
+def test_claim_on_committed_pair(claim, code, line):
+    result = run(BASE, CHANGE, "--claim", *claim)
+    assert result.returncode == code, result.stderr
+    lines = result.stdout.splitlines()
+    assert len(lines) == 1 + 12 + 4 + 1
+    assert lines[-1] == line
+
+
+def test_claim_needs_nine_tenths_of_pairs_and_a_gain_above_the_base_iqr(bench_compare):
+    def row(better: int, pairs: int, gain: float) -> dict:
+        return {"better": better, "pairs": pairs, "gain": gain, "base": {"q1": 1.0, "q3": 1.5}}
+
+    assert bench_compare.claim_met(row(9, 10, 0.6))
+    assert not bench_compare.claim_met(row(8, 10, 0.6))
+    assert bench_compare.claim_met(row(10, 11, 0.6))  # 9.9 pairs, rounded up
+    assert not bench_compare.claim_met(row(9, 11, 0.6))
+    assert not bench_compare.claim_met(row(10, 10, 0.5))  # a gain equal to the IQR
+    assert not bench_compare.claim_met(row(10, 10, -0.6))
+
+
+@pytest.mark.parametrize("claim", [("wide-table", "cli.import_s"), ("no-such", "wall_s")])
+def test_claim_outside_benchmark_is_refused(claim):
+    result = run(BASE, CHANGE, "--claim", *claim)
+    assert result.returncode == 2
+    assert "not a workload and end-to-end metric of BENCHMARK.json" in result.stderr

@@ -575,13 +575,13 @@ def test_help_shows_each_bound(runner, command, options):
         (["steps", "--range", "1..2", "--jobs", "0"], "Invalid value for '--jobs'", None),
         (["verify", "--range", "0..2"], "Invalid value for '--jobs'", {"CBSUM_JOBS": "0"}),
         (["bench", "--n", "2", "--repetitions", "0"], "Invalid value for '--repetitions'", None),
+        # naive alone above its cutoff would measure nothing, yet pass
+        (["bench", "--n", "5", "--strategy", "naive", "--naive-cutoff", "2"], "bench needs 1 strategy measured", None),
         (
             ["bench", "--n", "2", "--repetitions", str(MAX_REPETITIONS + 1)],
             f"Invalid value for '--repetitions': {MAX_REPETITIONS + 1} is not in the range 1<=x<=",
             None,
         ),
-        # naive alone above its cutoff would measure nothing, yet pass
-        (["bench", "--n", "5", "--strategy", "naive", "--naive-cutoff", "2"], "bench needs 1 strategy measured", None),
     ],
 )
 def test_usage_error_exits_2_and_raises_when_embedded(argv, fragment, env):

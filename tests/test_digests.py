@@ -2,19 +2,24 @@
 
 ``decimal_str`` hands short values to ``str`` itself, so the divide and
 conquer is also checked on its own, and the switch between the two is
-checked at its edges and under the interpreter's digit limit.
+checked at its edges and under the interpreter's digit limit. Digests
+come from the interpreter's built-in SHA-256, or from ``hashlib`` where
+the build lacks it; ``hashlib``'s is the yardstick for both.
 """
 from __future__ import annotations
 
 import contextlib
 import hashlib
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cbsum import digests
-from cbsum.digests import _LEAF_BITS, _STR_MAX_BITS, decimal_digits, decimal_str, value_digest
+from cbsum.digests import _LEAF_BITS, _STR_MAX_BITS, decimal_digits, decimal_str, text_digest, value_digest
 from cbsum.report import RunConfig, describe_value
 
 HAS_LIMIT = hasattr(sys, "get_int_max_str_digits")
@@ -112,6 +117,47 @@ class TestDecimalStr:
             assert fields["digits"] == decimal_digits(value) == len(reference_str(abs(value)))
             assert fields["digest"] == value_digest(value)
             assert fields["value"] == (reference_str(value) if threshold else None)
+
+
+def reference_digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestTextDigest:
+    # 55, 56 and 64 bytes straddle SHA-256's padding and block edges
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.text(st.characters(max_codepoint=127)))
+    @example(text="")
+    @example(text="7" * 55)
+    @example(text="7" * 56)
+    @example(text="7" * 64)
+    @example(text="-" + "9" * 150_006)
+    def test_matches_hashlib(self, text):
+        assert text_digest(text) == reference_digest(text)
+
+    def test_without_built_in_module_falls_back_to_hashlib(self):
+        # as on a build made without the built-in hashes: both imports fail
+        probe = """
+import sys
+sys.modules["_sha256"] = sys.modules["_sha2"] = None
+import hashlib
+from cbsum import digests
+assert digests.sha256 is hashlib.sha256
+for text in sys.argv[1:]:
+    print(digests.text_digest(text))
+"""
+        texts = ["", "0", "-12345678901234567890", str(3**5000)]
+        src = str(Path(digests.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", probe, *texts],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == [reference_digest(t) for t in texts]
 
 
 @pytest.mark.skipif(not HAS_LIMIT, reason="interpreter has no int-to-str digit limit")

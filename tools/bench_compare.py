@@ -3,6 +3,7 @@
 Usage, from the root of a checkout:
 
     python3 tools/bench_compare.py BENCH_pr14-parent.json BENCH_pr14.json
+    python3 tools/bench_compare.py BASE.json CHANGE.json --claim wide-table peak_rss_mb
 
 For each workload and each end-to-end metric of ``BENCHMARK.json``, it
 prints the base's and the change's median with their quartiles
@@ -22,9 +23,17 @@ snapshots and whether every run of each was ``correct``. The row reads
 ``worse`` if the change's share of failed operations is larger than the
 base's, or if some run of the change was not correct; else ``ok``.
 
-The script exits 1 if any row is ``worse``, and 0 otherwise. It exits
-2, comparing nothing, if the snapshots ran different seeds or if one of
-them lacks a workload or a metric that ``BENCHMARK.json`` lists.
+With ``--claim WORKLOAD METRIC`` it last judges a claimed gain on one
+end-to-end metric, by the gain rule: the change reads better in at least
+nine tenths of the seed pairs, rounded up, ties counting for neither,
+and its median beats the base's by more than the base's q3 - q1. It
+prints one line, ``claim WORKLOAD METRIC: met`` or ``not met``, with the
+pair count, the delta and that spread.
+
+The script exits 1 if any row is ``worse`` or the claim is not met, and
+0 otherwise. It exits 2, comparing nothing, if the snapshots ran
+different seeds, if one of them lacks a workload or a metric that
+``BENCHMARK.json`` lists, or if the claim names neither.
 """
 from __future__ import annotations
 
@@ -64,6 +73,7 @@ def compare(base: dict, change: dict, benchmark: dict) -> list[dict]:
                     "base": b,
                     "change": c,
                     "delta": delta,
+                    "gain": -sign * delta,  # > 0: the change's median is better
                     "better": sum(s < 0 for s in steps),
                     "worse": sum(s > 0 for s in steps),
                     "pairs": len(steps),
@@ -92,6 +102,12 @@ def failures(base: dict, change: dict, benchmark: dict) -> list[dict]:
     return rows
 
 
+def claim_met(row: dict) -> bool:
+    """The gain rule on one row of :func:`compare`: better in at least
+    nine tenths of the pairs, and a median gain above the base's q3 - q1."""
+    return 10 * row["better"] >= 9 * row["pairs"] and row["gain"] > row["base"]["q3"] - row["base"]["q1"]
+
+
 def missing(snapshot: dict, benchmark: dict) -> list[str]:
     """The workloads, and end-to-end metrics of a workload, that
     ``benchmark`` lists and ``snapshot`` lacks."""
@@ -117,6 +133,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", type=Path, metavar="BASE.json")
     parser.add_argument("change", type=Path, metavar="CHANGE.json")
+    parser.add_argument(
+        "--claim", nargs=2, metavar=("WORKLOAD", "METRIC"), help="judge a claimed gain on this metric"
+    )
     args = parser.parse_args(argv)
     base, change = (json.loads(path.read_text()) for path in (args.base, args.change))
     if base["seeds"] != change["seeds"]:
@@ -126,6 +145,11 @@ def main(argv: list[str] | None = None) -> int:
         if lacks := missing(snapshot, benchmark):
             parser.error(f"{path} lacks what BENCHMARK.json lists: {', '.join(lacks)}")
     rows = compare(base, change, benchmark)
+    claimed = None
+    if args.claim:
+        claimed = next((r for r in rows if [r["workload"], r["metric"]] == args.claim), None)
+        if claimed is None:
+            parser.error(f"--claim {' '.join(args.claim)}: not a workload and end-to-end metric of BENCHMARK.json")
     failed = failures(base, change, benchmark)
     # a snapshot taken outside a git checkout records no commit
     commits = [(snapshot["commit"] or "unknown")[:7] for snapshot in (base, change)]
@@ -138,7 +162,15 @@ def main(argv: list[str] | None = None) -> int:
         )
     for r in failed:
         print(f"{r['workload']:<12} failed       {_failed(r['base'])} -> {_failed(r['change'])}  {r['verdict']}")
-    return 1 if any(r["verdict"] == "worse" for r in rows + failed) else 0
+    met = claimed is None or claim_met(claimed)
+    if claimed is not None:
+        r = claimed
+        print(
+            f"claim {r['workload']} {r['metric']}: {'met' if met else 'not met'}"
+            f"  better {r['better']}/{r['pairs']}, delta {r['delta']:+.3f} {r['unit']},"
+            f" base IQR {r['base']['q3'] - r['base']['q1']:.3f}"
+        )
+    return 1 if not met or any(r["verdict"] == "worse" for r in rows + failed) else 0
 
 
 if __name__ == "__main__":
