@@ -162,9 +162,9 @@ def main(argv: list[str] | None = None) -> int:
         )
     for r in failed:
         print(f"{r['workload']:<12} failed       {_failed(r['base'])} -> {_failed(r['change'])}  {r['verdict']}")
-    met = claimed is None or claim_met(claimed)
+    met = True
     if claimed is not None:
-        r = claimed
+        met, r = claim_met(claimed), claimed
         print(
             f"claim {r['workload']} {r['metric']}: {'met' if met else 'not met'}"
             f"  better {r['better']}/{r['pairs']}, delta {r['delta']:+.3f} {r['unit']},"
