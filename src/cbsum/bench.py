@@ -29,9 +29,18 @@ DEFAULT_NAIVE_CUTOFF = 3000
 #: set where the closed form at n = 2000 stays within about 3 s and 64 MB
 #: of peak RSS: 10_000 repetitions took 2.6-3.0 s and peaked at 36-51 MB
 #: (text to JSON), against 17.5 MB for 10 (2-vCPU x86-64 VM, CPython
-#: 3.11), about 3.4 KB and 0.25 ms per repetition. The reference sums cost
+#: 3.11), about 3.4 KB and 0.25 ms per repetition. Since equal records
+#: share one value, they peak at 25-41 MB. The reference sums cost
 #: far more per repetition; their time is for their cutoffs to bound.
 MAX_REPETITIONS = 10_000
+
+#: Largest ``eval --n``. The closed form's cost grows a little faster than
+#: n, and its sieve takes n bytes before the first multiply, so the cap is
+#: set where one call stays within about 5 s and 64 MB of peak RSS:
+#: ``eval --n N --format json`` took 0.70 s and 26 MB at N = 2e6, 2.5 s
+#: and 40 MB at 5e6, 4.4 s and 63 MB at 1e7, and 9.6 s and 108 MB at 2e7
+#: (2-vCPU x86-64 VM, CPython 3.11). Library calls stay unbounded.
+MAX_EVAL_N = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -89,7 +98,10 @@ def run_benchmark(
                 value, elapsed = timed(EVALUATORS[strategy], n)
                 if reference is None:
                     reference = value
-                records.append(BenchRecord(n, strategy, rep, elapsed, value, equal=value == reference))
+                equal = value == reference
+                # an equal value is held as the reference itself, so the n's
+                # records share one object rather than one copy each
+                records.append(BenchRecord(n, strategy, rep, elapsed, reference if equal else value, equal=equal))
     return records
 
 

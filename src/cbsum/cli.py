@@ -10,8 +10,9 @@ returns the code instead of exiting, and lets exceptions propagate.
 Every usage error is raised here, as a ``click.UsageError``. A bound on
 one option is its type, named in the message and shown by ``--help``:
 ``click.IntRange`` keeps ``--n``, ``--naive-cutoff``,
-``--digest-threshold`` >= 0, ``--jobs`` (``CBSUM_JOBS``) >= 1 and
-``--repetitions`` from 1 to ``MAX_REPETITIONS``; :class:`NRange` reads
+``--digest-threshold`` >= 0, ``--jobs`` (``CBSUM_JOBS``) >= 1,
+``eval --n`` at most ``MAX_EVAL_N`` and ``--repetitions`` from 1 to
+``MAX_REPETITIONS``; :class:`NRange` reads
 ``--range`` as ``N`` or ``A..B``, A <= B, with A >= 0, or A >= 1 for
 ``steps``. Rules that tie options together sit in their command: one
 rule, :func:`_require_measured`, counts the strategies measured at the
@@ -27,7 +28,7 @@ from typing import Any
 import click
 
 from . import __version__
-from .bench import DEFAULT_NAIVE_CUTOFF, MAX_REPETITIONS, skipped
+from .bench import DEFAULT_NAIVE_CUTOFF, MAX_EVAL_N, MAX_REPETITIONS, skipped
 from .chain import CHAIN_COMPARISONS
 from .identity import Strategy
 from .report import DEFAULT_DIGEST_THRESHOLD, RunConfig, render_report, rows_pass
@@ -203,7 +204,7 @@ def main() -> None:
 
 
 @main.command("eval")
-@click.option("--n", type=click.IntRange(min=0), required=True, help="Problem size.")
+@click.option("--n", type=click.IntRange(min=0, max=MAX_EVAL_N), required=True, help="Problem size.")
 @strategy_option
 @format_option
 @cutoff_option

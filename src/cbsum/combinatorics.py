@@ -10,15 +10,22 @@ which keeps every summation loop downstream free of boundary special cases.
 
 :func:`binomial` calls ``math.comb`` for small coefficients and multiplies
 out the coefficient's prime factorisation for large ones, where
-``math.comb`` is quadratic. :func:`central_binomials` sweeps C(2n, n)
-across a range of n from one :func:`binomial` call, and :func:`pascal_row`
-builds a whole row at once for the sums that walk one.
+``math.comb`` is quadratic. It works in ints, or, when asked, in exact
+``decimal.Decimal`` arithmetic: a value built that way has its decimal
+text for free, where an int of a million digits takes longer to convert
+to decimal than to compute. Decimal arithmetic runs only in
+:func:`exact_decimal`'s context, which never rounds, and never in the
+thread's own context. :func:`central_binomials` sweeps C(2n, n) across a
+range of n from one :func:`binomial` call, and :func:`pascal_row` builds a
+whole row at once for the sums that walk one.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from typing import Iterable, Iterator
+import operator
+from typing import Any, Callable, Iterable, Iterator
 
 #: Where :func:`binomial` switches from ``math.comb`` to the prime kernel.
 #: ``math.comb`` costs about k**2 and the kernel about m (its sieve), so,
@@ -31,7 +38,44 @@ from typing import Iterable, Iterator
 PRIME_KERNEL_CROSSOVER = 1500
 
 
-def binomial(m: int, k: int) -> int:
+#: Smallest width, in bits, of the int pieces that :func:`binomial` converts
+#: with one ``Decimal(int)`` on its decimal path: prime powers are
+#: multiplied as ints until their product reaches it, so the decimal tree
+#: starts from few, wide leaves. For S(n) and its text at n = 1e5-1.4e5,
+#: 1024-4096 bits measured within 5% of one another and 20-25% faster
+#: than one Decimal per prime power; 8192 bits and wider were slower
+#: (2-vCPU x86-64 VM, CPython 3.11).
+_DECIMAL_LEAF_BITS = 4096
+
+
+def prime_kernel(m: int, k: int) -> bool:
+    """Whether :func:`binomial` computes C(m, k), 0 <= k <= m, by the prime
+    kernel rather than ``math.comb`` (see :data:`PRIME_KERNEL_CROSSOVER`)."""
+    k = min(k, m - k)
+    return k >= PRIME_KERNEL_CROSSOVER and 2 * k * k >= PRIME_KERNEL_CROSSOVER * m
+
+
+@functools.cache
+def exact_decimal() -> Any:
+    """The one ``decimal.Context`` of this package's decimal arithmetic.
+
+    Its precision and exponent range are the largest libmpdec has, and it
+    traps ``Inexact`` and ``Rounded``, so an operation on integers is
+    either exact or raises. Callers use its methods (``exact_decimal().
+    multiply(a, b)``), never the operators, which would round to the
+    thread's current context; so that context is neither read nor changed.
+    """
+    import decimal  # loaded only when decimal arithmetic runs
+
+    return decimal.Context(
+        prec=decimal.MAX_PREC,
+        Emax=decimal.MAX_EMAX,
+        Emin=decimal.MIN_EMIN,
+        traps=[decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow, decimal.Inexact, decimal.Rounded],
+    )
+
+
+def binomial(m: int, k: int, number: type = int) -> Any:
     """C(m, k), exactly; 0 when k is out of range.
 
     ``m`` must be nonnegative; ``k`` may be any integer. Large coefficients
@@ -40,15 +84,20 @@ def binomial(m: int, k: int) -> int:
     a prime p in C(m, k) is sum_i (m//p^i - k//p^i - (m-k)//p^i), and the
     prime powers are multiplied through a balanced product tree, the idea
     behind Schoenhage's and Luschny's prime-swing factorials.
+
+    ``number`` is the type of the result: ``int``, or ``decimal.Decimal``,
+    whose prime kernel multiplies in :func:`exact_decimal`'s context.
     """
     if m < 0:
         raise ValueError(f"binomial: upper index must be >= 0, got m={m}")
     if k < 0 or k > m:
-        return 0
-    k = min(k, m - k)
-    if k < PRIME_KERNEL_CROSSOVER or 2 * k * k < PRIME_KERNEL_CROSSOVER * m:
-        return math.comb(m, k)
-    return _product(_prime_powers(m, k))
+        return number(0)
+    if not prime_kernel(m, k):
+        return number(math.comb(m, k))
+    if number is int:
+        return _product(_prime_powers(m, k))
+    leaves = map(number, _gathered(_prime_powers(m, k), _DECIMAL_LEAF_BITS))
+    return _product(leaves, exact_decimal().multiply)
 
 
 def central_binomials(ns: range) -> Iterator[int]:
@@ -98,23 +147,37 @@ def _prime_powers(m: int, k: int) -> Iterator[int]:
             yield p**e
 
 
-def _product(factors: Iterable[int]) -> int:
-    """Product of ``factors`` through a balanced binary tree.
+def _gathered(factors: Iterable[int], bits: int) -> Iterator[int]:
+    """Products of consecutive ``factors``, each the first to reach ``bits``
+    bits, and a last one of what remains."""
+    piece = 1
+    for x in factors:
+        piece *= x
+        if piece.bit_length() >= bits:
+            yield piece
+            piece = 1
+    yield piece
+
+
+def _product(factors: Iterable[Any], multiply: Callable[[Any, Any], Any] = operator.mul) -> Any:
+    """Product of ``factors`` through a balanced binary tree, each step by
+    ``multiply``.
 
     The stack holds partial products of 1, 2, 4, ... factors like the digits
     of a binary counter: a new factor merges with the top while their factor
-    counts match, so operands stay balanced (which lets Karatsuba pay off)
-    and only O(log) partial products are alive at once.
+    counts match, so operands stay balanced (which lets Karatsuba and
+    libmpdec's number-theoretic multiply pay off) and only O(log) partial
+    products are alive at once.
     """
-    stack: list[tuple[int, int]] = []
+    stack: list[tuple[Any, int]] = []
     for x in factors:
         count = 1
         while stack and stack[-1][1] == count:
-            x, count = stack.pop()[0] * x, 2 * count
+            x, count = multiply(stack.pop()[0], x), 2 * count
         stack.append((x, count))
     result = 1
     while stack:
-        result = stack.pop()[0] * result
+        result = multiply(stack.pop()[0], result)
     return result
 
 

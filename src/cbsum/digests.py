@@ -13,6 +13,12 @@ digest.
 from __future__ import annotations
 
 import sys
+from typing import TYPE_CHECKING
+
+from .combinatorics import exact_decimal
+
+if TYPE_CHECKING:
+    from decimal import Decimal
 
 try:
     from _sha2 import sha256  # CPython 3.12+
@@ -39,20 +45,24 @@ _LEAF_BITS = 512
 _digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
-def decimal_str(value: int) -> str:
+def decimal_str(value: int | Decimal) -> str:
     """Decimal representation of ``value``, regardless of its size.
 
-    ``str(int)`` takes time quadratic in the digit count, and it refuses
-    values longer than ``sys.get_int_max_str_digits()`` (0: no limit).
-    It is still the faster up to ``_STR_MAX_BITS`` bits, so a value that
-    short is converted by ``str`` if its digit count, bounded from the
-    bit length, is within the limit. Any other value is converted by
-    divide and conquer, the method of CPython 3.12's ``Lib/_pylong.py``:
-    split the int at a power of two, convert both halves, and recombine
-    them as hi * 2**w + lo in exact decimal (libmpdec) arithmetic, whose
-    multiplication is subquadratic. Either way the text is the same, and
-    the interpreter's limit is read, never changed.
+    An integral ``decimal.Decimal`` is decimal already: its text is read
+    off its digits, with no conversion. For an int, ``str(int)`` takes time
+    quadratic in the digit count, and it refuses values longer than
+    ``sys.get_int_max_str_digits()`` (0: no limit). It is still the faster
+    up to ``_STR_MAX_BITS`` bits, so a value that short is converted by
+    ``str`` if its digit count, bounded from the bit length, is within the
+    limit. Any other int is converted by divide and conquer, the method of
+    CPython 3.12's ``Lib/_pylong.py``: split the int at a power of two,
+    convert both halves, and recombine them as hi * 2**w + lo in exact
+    decimal (libmpdec) arithmetic, whose multiplication is subquadratic.
+    Either way the text is the same, and the interpreter's limit is read,
+    never changed.
     """
+    if not isinstance(value, int):
+        return _integral_text(value)
     bits = value.bit_length()
     limit = _digit_limit()
     # bits * 0.30103 >= bits * log10(2), so this bounds the digit count
@@ -61,35 +71,40 @@ def decimal_str(value: int) -> str:
     return _divide_and_conquer(value)
 
 
+def _integral_text(value: Decimal) -> str:
+    """The digits of an integral Decimal, with a "-" if it is negative;
+    ValueError if ``value`` is not an integer."""
+    integral = exact_decimal().to_integral_value(value)
+    if not value.is_finite() or integral != value:
+        raise ValueError("decimal_str: needs an integral value")
+    text = format(integral.copy_abs(), "f")  # "1E+3" as "1000"; no context read
+    return "-" + text if integral < 0 else text
+
+
 def _divide_and_conquer(value: int) -> str:
     """``decimal_str`` by splitting at powers of two; never calls ``str(int)``."""
-    import decimal  # loaded only when the divide and conquer runs
+    exact = exact_decimal()
+    powers: dict[int, Decimal] = {}  # 2**w per split width w
 
-    powers: dict[int, decimal.Decimal] = {}  # 2**w per split width w
-
-    def power_of_two(w: int) -> decimal.Decimal:
+    def power_of_two(w: int) -> Decimal:
         power = powers.get(w)
         if power is None:
             if w <= _LEAF_BITS:
-                power = decimal.Decimal(1 << w)
+                power = exact.create_decimal(1 << w)
             else:
-                power = power_of_two(w >> 1) * power_of_two(w - (w >> 1))
+                power = exact.multiply(power_of_two(w >> 1), power_of_two(w - (w >> 1)))
             powers[w] = power
         return power
 
-    def convert(x: int, width: int) -> decimal.Decimal:
+    def convert(x: int, width: int) -> Decimal:
         if width <= _LEAF_BITS:
-            return decimal.Decimal(x)
+            return exact.create_decimal(x)
         w = width >> 1
         hi = x >> w
-        return convert(hi, width - w) * power_of_two(w) + convert(x - (hi << w), w)
+        return exact.fma(convert(hi, width - w), power_of_two(w), convert(x - (hi << w), w))
 
-    with decimal.localcontext() as ctx:
-        ctx.prec = decimal.MAX_PREC
-        ctx.Emax = decimal.MAX_EMAX
-        ctx.traps[decimal.Inexact] = True
-        exact = convert(abs(value), value.bit_length())
-        return format(-exact if value < 0 else exact, "f")
+    text = format(convert(abs(value), value.bit_length()), "f")
+    return "-" + text if value < 0 else text
 
 
 def decimal_digits(value: int) -> int:

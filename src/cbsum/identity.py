@@ -19,9 +19,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Dict
+from typing import TYPE_CHECKING, Callable, Dict
 
-from .combinatorics import binomial, pascal_row
+from .combinatorics import binomial, exact_decimal, pascal_row
+
+if TYPE_CHECKING:
+    from decimal import Decimal
 
 
 class Strategy(enum.Enum):
@@ -72,14 +75,21 @@ def evaluate_symmetrized(n: int) -> int:
     return 4 * total
 
 
-def evaluate_closed_form(n: int, central: int | None = None) -> int:
-    """Closed form 2 n^2 C(2n,n)^2.
+def evaluate_closed_form(n: int, central: int | Decimal | None = None) -> int | Decimal:
+    """Closed form 2 n^2 C(2n,n)^2, in the type of ``central``.
 
-    ``central`` is C(2n,n) when the caller has already computed it.
+    ``central`` is C(2n,n) when the caller has already computed it: an int,
+    or a ``decimal.Decimal``, which is squared in the exact context of
+    :func:`~cbsum.combinatorics.exact_decimal`, so that the result is an
+    integral Decimal and is never rounded. Without it, C(2n,n) is computed
+    as an int.
     """
     if central is None:
         central = binomial(2 * n, n)
-    return 2 * n * n * central**2
+    if isinstance(central, int):
+        return 2 * n * n * central**2
+    exact = exact_decimal()
+    return exact.multiply(2 * n * n, exact.multiply(central, central))
 
 
 EVALUATORS: Dict[Strategy, Callable[[int], int]] = {

@@ -25,12 +25,15 @@ import csv
 import io
 import json
 from dataclasses import dataclass, fields
-from typing import Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from .bench import DEFAULT_NAIVE_CUTOFF
 from .chain import CHAIN_COMPARISONS, StepId
 from .digests import decimal_str, text_digest
 from .identity import Strategy
+
+if TYPE_CHECKING:
+    from decimal import Decimal
 
 #: Canonical CSV columns for comparison-style reports.
 CSV_COLUMNS = ("n", "step_or_strategy", "lhs_digest", "rhs_digest", "equal", "duration_ns")
@@ -131,11 +134,12 @@ def render_report(
     return "".join(line + "\n" for line in text)
 
 
-def describe_value(value: int, config: RunConfig) -> dict[str, Any]:
+def describe_value(value: int | Decimal, config: RunConfig) -> dict[str, Any]:
     """Value fields for machine output, honoring the digest threshold.
 
-    Always carries the digest. The value is converted to decimal once; that
-    text gives the digest, the digit count and, if shown, the value.
+    Always carries the digest. The value, an int or an integral Decimal,
+    is turned into decimal text once; that text gives the digest, the digit
+    count and, if shown, the value.
     """
     text = decimal_str(value)
     digits = len(text) - (value < 0)

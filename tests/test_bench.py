@@ -54,6 +54,14 @@ class TestRunBenchmark:
         records = run_benchmark([10, 11], ALL, repetitions=2)
         assert all(r.equal for r in records)
 
+    def test_equal_records_hold_the_reference_itself(self):
+        # one value object per n, not one copy per record
+        records = run_benchmark([10, 12], ALL, repetitions=3)
+        for n in (10, 12):
+            reference, *others = [r for r in records if r.n == n]
+            assert len(others) == 8
+            assert all(r.equal and r.value is reference.value for r in others)
+
     def test_mismatched_record_holds_its_value(self, monkeypatch):
         real = identity.EVALUATORS[Strategy.CLOSED_FORM]
         monkeypatch.setitem(identity.EVALUATORS, Strategy.CLOSED_FORM, lambda n: real(n) + 1)

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import decimal
 import hashlib
 import io
 import json
@@ -24,12 +25,13 @@ from hypothesis import given, settings, strategies as st
 
 import cbsum
 from cbsum import chain, cli, combinatorics, digests, identity, report, runs
-from cbsum.bench import MAX_REPETITIONS
+from cbsum.bench import MAX_EVAL_N, MAX_REPETITIONS
 from cbsum.chain import CHAIN_COMPARISONS, StepId
 from cbsum.cli import NRange, main
 from cbsum.identity import Strategy
 
 from oracle import closed_form_by_comb
+from test_digests import reference_str
 from test_golden import mask_durations
 
 
@@ -101,7 +103,29 @@ class TestEval:
         assert result.output.strip() == expected
 
     def test_invalid_size_is_usage_error(self):
-        assert_usage_error(["eval", "--n", "-1"], "Invalid value for '--n'", "x>=0")
+        assert_usage_error(["eval", "--n", "-1"], "Invalid value for '--n'", f"0<=x<={MAX_EVAL_N}")
+
+    @pytest.mark.parametrize("n", [1499, 1500, 1501, 8191, 20000])
+    def test_value_matches_oracle_across_decimal_switch(self, runner, n):
+        # from the prime kernel's crossover (1500) on, S(n) is built in
+        # decimal arithmetic; 8191 is the first n whose int value would
+        # need the divide and conquer
+        result = runner.invoke(main, ["eval", "--n", str(n), "--format", "json"])
+        assert result.exit_code == 0, result.output
+        (row,) = json.loads(result.output)["results"]
+        text = reference_str(closed_form_by_comb(n))
+        assert row["digest"] == hashlib.sha256(text.encode()).hexdigest()
+        assert row["digits"] == len(text)
+
+    def test_caller_decimal_context_is_neither_read_nor_changed(self, capsys):
+        with decimal.localcontext() as caller:
+            caller.prec = 5
+            before = repr(caller)
+            assert main.main(["eval", "--n", "20000", "--format", "json"], standalone_mode=False) == 0
+            assert decimal.getcontext() is caller
+            assert repr(caller) == before
+        (row,) = json.loads(capsys.readouterr().out)["results"]
+        assert row["digest"] == hashlib.sha256(reference_str(closed_form_by_comb(20000)).encode()).hexdigest()
 
     def test_json_shape(self, runner):
         result = runner.invoke(main, ["eval", "--n", "3", "--format", "json"])
@@ -511,9 +535,11 @@ def test_stopped_clock_reads_1_ns(runner, monkeypatch, argv):
         assert row["duration_ns"] == (None if row in skipped else 1), row
 
 
-#: The range each bounded option takes, as click displays it.
+#: The range each bounded option takes, as click displays it; a key
+#: "COMMAND --option" holds a command's own range for a shared option.
 BOUNDS = {
     "--n": "x>=0",
+    "eval --n": f"0<=x<={MAX_EVAL_N}",
     "--naive-cutoff": "x>=0",
     "--digest-threshold": "x>=0",
     "--jobs": "x>=1",
@@ -541,7 +567,11 @@ def test_negative_bound_is_usage_error(argv):
     env = dict(word.split("=") for word in argv if "=" in word)
     argv = [word for word in argv if "=" not in word]
     option = "--jobs" if env else argv[-2]
-    assert_usage_error(argv, f"Invalid value for '{option}'", BOUNDS[option], env=env)
+    assert_usage_error(argv, f"Invalid value for '{option}'", bound(argv[0], option), env=env)
+
+
+def bound(command: str, option: str) -> str:
+    return BOUNDS.get(f"{command} {option}", BOUNDS[option])
 
 
 @pytest.mark.parametrize(
@@ -561,7 +591,7 @@ def test_help_shows_each_bound(runner, command, options):
     entries = {e.split()[0]: " ".join(e.split()) for e in re.split(r"\n(?=  -)", result.output)[1:]}
     assert {name for name, entry in entries.items() if re.search("x[<>]=", entry)} == set(options)
     for name in options:
-        assert BOUNDS[name] in entries[name].rsplit("[", 1)[-1]  # the closing [...]
+        assert bound(command, name) in entries[name].rsplit("[", 1)[-1]  # the closing [...]
 
 
 @pytest.mark.parametrize(
@@ -580,6 +610,11 @@ def test_help_shows_each_bound(runner, command, options):
         (
             ["bench", "--n", "2", "--repetitions", str(MAX_REPETITIONS + 1)],
             f"Invalid value for '--repetitions': {MAX_REPETITIONS + 1} is not in the range 1<=x<=",
+            None,
+        ),
+        (
+            ["eval", "--n", str(MAX_EVAL_N + 1)],
+            f"Invalid value for '--n': {MAX_EVAL_N + 1} is not in the range 0<=x<={MAX_EVAL_N}",
             None,
         ),
     ],

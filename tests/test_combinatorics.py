@@ -1,12 +1,22 @@
 """Tests for the binomial substrate: values, conventions, strategies, rows."""
 from __future__ import annotations
 
+import decimal
 import math
+from decimal import Decimal
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cbsum.combinatorics import PRIME_KERNEL_CROSSOVER, binomial, central_binomials, pascal_row
+from cbsum.combinatorics import (
+    PRIME_KERNEL_CROSSOVER,
+    _gathered,
+    binomial,
+    central_binomials,
+    exact_decimal,
+    pascal_row,
+    prime_kernel,
+)
 from cbsum.digests import value_digest
 from cbsum.identity import EVALUATORS, Strategy, evaluate
 
@@ -85,6 +95,48 @@ class TestPrimeKernel:
 
     def test_central_coefficient_at_ten_to_the_fifth(self):
         assert binomial(200_000, 100_000) == math.comb(200_000, 100_000)
+
+
+class TestDecimalKernel:
+    """``binomial`` as a ``Decimal``: the int's value, from its own tree."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(m=st.integers(0, 8 * PRIME_KERNEL_CROSSOVER), k=st.integers(-3, 8 * PRIME_KERNEL_CROSSOVER + 3))
+    @example(m=2 * PRIME_KERNEL_CROSSOVER - 2, k=PRIME_KERNEL_CROSSOVER - 1)
+    @example(m=2 * PRIME_KERNEL_CROSSOVER, k=PRIME_KERNEL_CROSSOVER)
+    @example(m=5000, k=-1)
+    @example(m=5000, k=5001)
+    def test_matches_int(self, m, k):
+        value = binomial(m, k, Decimal)
+        assert type(value) is Decimal
+        assert value == binomial(m, k)
+
+    def test_kernel_reads_no_thread_context(self):
+        # the caller's 5 digits would round every product of the tree
+        n = 20 * PRIME_KERNEL_CROSSOVER
+        assert prime_kernel(2 * n, n)
+        with decimal.localcontext() as caller:
+            caller.prec = 5
+            before = repr(caller)
+            value = binomial(2 * n, n, Decimal)
+            assert decimal.getcontext() is caller and repr(caller) == before
+        assert value == math.comb(2 * n, n)
+
+    def test_exact_context_raises_rather_than_rounds(self):
+        exact = exact_decimal()
+        assert exact is exact_decimal()  # one context, made once
+        assert (exact.prec, exact.Emax) == (decimal.MAX_PREC, decimal.MAX_EMAX)
+        with pytest.raises(decimal.Inexact):
+            exact.to_integral_exact(Decimal("2.5"))
+        with pytest.raises(decimal.Rounded):
+            exact.to_integral_exact(Decimal("2.0"))
+
+    def test_gathered_pieces_reach_the_width(self):
+        factors = [p**3 for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)]
+        pieces = list(_gathered(factors, 40))
+        assert math.prod(pieces) == math.prod(factors)
+        assert all(piece.bit_length() >= 40 for piece in pieces[:-1])
+        assert all(piece.bit_length() < 40 + 15 for piece in pieces)  # one factor past it at most
 
 
 class TestCentralBinomials:

@@ -13,6 +13,7 @@ import hashlib
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -104,6 +105,23 @@ class TestDecimalStr:
         with int_max_str_digits(0):
             assert decimal_str(value) == reference_str(value)
         assert divide_and_conquer_calls == ([value] if bits > _STR_MAX_BITS else [])
+
+    @settings(max_examples=200, deadline=None)
+    @given(value=values)
+    @edges
+    def test_integral_decimal_matches_str(self, value):
+        assert decimal_str(Decimal(value)) == reference_str(value)
+
+    @pytest.mark.parametrize(
+        "value,text", [("1E+5", "100000"), ("-0", "0"), ("100.00", "100"), ("-7E+2", "-700"), ("0E-3", "0")]
+    )
+    def test_integral_decimal_in_any_form(self, value, text):
+        assert decimal_str(Decimal(value)) == text
+
+    @pytest.mark.parametrize("value", ["1.5", "-0.001", "Infinity", "NaN"])
+    def test_fractional_or_infinite_decimal_rejected(self, value):
+        with pytest.raises(ValueError, match="integral"):
+            decimal_str(Decimal(value))
 
     def test_digit_count_matches_conversion(self):
         for value in (0, 9, 10, 10**700 - 1, 10**700, 3**5000):

@@ -1,7 +1,9 @@
 """Tests for the sum evaluators and the pointwise identities they rest on."""
 from __future__ import annotations
 
+import decimal
 import math
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,11 +13,12 @@ from cbsum.identity import (
     Strategy,
     absorption_sides,
     evaluate,
+    evaluate_closed_form,
     half_row_sum,
     pascal_triple_sides,
 )
 
-from oracle import brute_force_sum, reflected_brute_force_sum
+from oracle import brute_force_sum, closed_form_by_comb, reflected_brute_force_sum
 
 
 @st.composite
@@ -61,6 +64,22 @@ class TestEvaluators:
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError):
             evaluate(-1, Strategy.CLOSED_FORM)
+
+
+class TestClosedFormInDecimal:
+    @pytest.mark.parametrize("n", [0, 1, 2, 57, 1500, 4000])
+    def test_decimal_central_gives_the_int_value(self, n):
+        value = evaluate_closed_form(n, Decimal(math.comb(2 * n, n)))
+        assert type(value) is Decimal
+        assert value == closed_form_by_comb(n)
+
+    def test_caller_context_does_not_round_it(self):
+        n = 4000
+        with decimal.localcontext() as caller:
+            caller.prec = 5
+            central = Decimal(math.comb(2 * n, n))  # construction is exact
+            value = evaluate_closed_form(n, central)
+        assert value == closed_form_by_comb(n)
 
 
 class TestHalfRowSum:
