@@ -10,8 +10,9 @@ The ``verify`` and ``bench`` commands both measure through
 else. Timings are taken per (n, strategy, repetition) and cover evaluation
 only. Every value is compared, as an exact integer, with the first one
 measured at the same n, so a benchmark run doubles as a correctness check:
-a mismatch must fail the run loudly. Records carry the values themselves;
-reports digest them where their rows are built. Skips produce an explicit
+a mismatch must fail the run loudly. Records carry the values themselves,
+one object per n for every value that equals the first; reports digest
+them where their rows are built. Skips produce an explicit
 marker record rather than silently vanishing from the report.
 """
 from __future__ import annotations
@@ -99,8 +100,6 @@ def run_benchmark(
                 if reference is None:
                     reference = value
                 equal = value == reference
-                # an equal value is held as the reference itself, so the n's
-                # records share one object rather than one copy each
                 records.append(BenchRecord(n, strategy, rep, elapsed, reference if equal else value, equal=equal))
     return records
 

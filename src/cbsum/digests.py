@@ -2,7 +2,10 @@
 
 Results in this package routinely run to hundreds of thousands of decimal
 digits, so reports identify them by a SHA-256 digest of their decimal
-representation plus a digit count instead of printing them in full.
+representation plus a digit count instead of printing them in full. A
+value is an int, whose decimal text has to be converted from binary, or
+an integral ``decimal.Decimal`` (``eval`` builds large values so), whose
+text is read off its digits.
 
 SHA-256 comes from the interpreter's built-in module, as ``random`` takes
 its ``sha512``: ``hashlib`` loads OpenSSL, which adds about 3.6 MB to the

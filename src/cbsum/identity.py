@@ -6,9 +6,11 @@ The quantity of interest, for a size ``n``, is
 
 and the claim being verified throughout this package is the closed form
 S(n) = 2 n^2 C(2n,n)^2. Three evaluators compute S(n) by structurally
-different routes; each takes ``n`` and returns S(n). They must agree
-bit-exactly, and the tests treat any disagreement as a finding, not an
-error.
+different routes; each takes ``n`` and returns S(n) as an int. They must
+agree bit-exactly, and the tests treat any disagreement as a finding, not
+an error. The closed form can also work in exact decimal arithmetic, from
+a ``decimal.Decimal`` C(2n,n): ``eval`` builds large values so, since
+their decimal text is all it reports.
 
 This module also carries the small exact identities the step-by-step
 derivation in :mod:`cbsum.chain` leans on: the half-row sum, the absorption
