@@ -42,8 +42,8 @@ PRIME_KERNEL_CROSSOVER = 1500
 #: with one ``Decimal(int)`` on its decimal path: prime powers are
 #: multiplied as ints until their product reaches it, so the decimal tree
 #: starts from few, wide leaves. For S(n) and its text at n = 1e5-1.4e5,
-#: 1024-4096 bits measured within 5% of one another and 20-25% faster
-#: than one Decimal per prime power; 8192 bits and wider were slower
+#: 2048 and 4096 bits measured within 4% of each other; 1024 bits took up
+#: to 20% longer, 8192 bits 5-10% and one Decimal per prime power 19-26%
 #: (2-vCPU x86-64 VM, CPython 3.11).
 _DECIMAL_LEAF_BITS = 4096
 

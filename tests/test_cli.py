@@ -117,6 +117,15 @@ class TestEval:
         assert row["digest"] == hashlib.sha256(text.encode()).hexdigest()
         assert row["digits"] == len(text)
 
+    def test_large_value_is_built_in_decimal_not_converted(self, runner, monkeypatch):
+        # S(20000) has about 24000 digits: as an int it would need the divide and conquer
+        def refuse(value):
+            raise AssertionError("eval converted an int to decimal")
+
+        monkeypatch.setattr(digests, "_divide_and_conquer", refuse)
+        result = runner.invoke(main, ["eval", "--n", "20000", "--format", "json"])
+        assert result.exit_code == 0, result.output
+
     def test_caller_decimal_context_is_neither_read_nor_changed(self, capsys):
         with decimal.localcontext() as caller:
             caller.prec = 5

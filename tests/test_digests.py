@@ -119,7 +119,7 @@ class TestDecimalStr:
         assert decimal_str(Decimal(value)) == text
 
     @pytest.mark.parametrize("value", ["1.5", "-0.001", "Infinity", "NaN"])
-    def test_fractional_or_infinite_decimal_rejected(self, value):
+    def test_non_integral_decimal_rejected(self, value):
         with pytest.raises(ValueError, match="integral"):
             decimal_str(Decimal(value))
 

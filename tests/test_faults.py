@@ -109,7 +109,13 @@ CASES: list[tuple[str, Callable, tuple[str, ...], Any, dict[str, Any]]] = [
     ("combinatorics._product", plus_one, VERIFY, 1, {"combinatorics.PRIME_KERNEL_CROSSOVER": 1}),
     ("combinatorics._product", plus_one, STEPS, 1, {"combinatorics.PRIME_KERNEL_CROSSOVER": 1}),
     # eval builds S(n) in decimal arithmetic from the kernel's crossover on
-    ("combinatorics._product", plus_one, ("eval", "--n", "2", "--format", "json"), GOLDEN, {"combinatorics.PRIME_KERNEL_CROSSOVER": 1}),
+    (
+        "combinatorics._product",
+        plus_one,
+        ("eval", "--n", "2", "--format", "json"),
+        GOLDEN,
+        {"combinatorics.PRIME_KERNEL_CROSSOVER": 1},
+    ),
     *((f"identity.EVALUATORS[{s.name}]", plus_one, VERIFY, 1, {}) for s in Strategy),
     ("chain.evaluate_naive", plus_one, STEPS, 1, {}),
     ("chain.evaluate_symmetrized", plus_one, STEPS, 1, {}),
