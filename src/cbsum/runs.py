@@ -8,9 +8,10 @@ summary line. The runner returns the lines that close its report; the CLI
 renders and writes everything, so no runner holds its whole report, names
 a column or decides whether the run passed. The runner calls ``emit``
 rather than yielding, so that one call of a runner spans its whole run.
-Runs over an n-range may fan out across worker processes, results are
-merged back in input order, so reports are deterministic for a fixed
-config.
+Runs over an n-range may fan out across forked worker processes
+(:mod:`.pool`, loaded only then); results are merged back in input order,
+so reports are deterministic for a fixed config. A range is handed on as
+a ``range``, never listed, so no n-sized list is built before the first n.
 
 ``verify``, ``bench`` and ``steps`` go n by n: each n is checked on exact
 integers, then its rows are built by the one row builder, :func:`_check_rows`,
@@ -19,7 +20,6 @@ which digests its values before the next n's results are read.
 from __future__ import annotations
 
 import os
-from collections import deque
 from functools import cache, partial
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -34,32 +34,18 @@ Row = dict[str, Any]
 Emit = Callable[[list[Row], list[str]], bool]
 
 
-def ProcessPoolExecutor(max_workers: int) -> Any:
-    """The standard library's process pool, imported on first call: loading
-    ``multiprocessing`` costs every call start-up time, and a call that runs
-    serially never needs it."""
-    from concurrent.futures import ProcessPoolExecutor as executor
-
-    return executor(max_workers=max_workers)
-
-
 def _map_over(fn: Callable[[Any], Any], items: Sequence[Any], jobs: int) -> Iterator[Any]:
     """``fn`` over ``items``, each result handed back in input order as it
-    arrives, so a caller can finish with one before the next is made."""
+    arrives, so a caller can finish with one before the next is made. With
+    two or more workers, and ``os.fork``, the work goes to :mod:`.pool`,
+    one item per task: a worker that finishes takes the next n, so the
+    costly large n at the end of a range do not queue behind one worker."""
     workers = min(jobs, len(items), os.cpu_count() or 1)
-    if workers <= 1:
-        yield from map(fn, items)
-        return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        # one item per task: a worker that finishes takes the next n, so the
-        # costly large n at the end of a range do not queue behind one worker;
-        # and at most 2 * workers + 1 in flight, so results do not pile up unread
-        pending = deque(pool.submit(fn, item) for item in items[: 2 * workers])
-        for item in items[2 * workers :]:
-            pending.append(pool.submit(fn, item))
-            yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
+    if workers <= 1 or not hasattr(os, "fork"):
+        return map(fn, items)
+    from .pool import imap  # only a pooled call compiles the pool
+
+    return imap(fn, items, workers)
 
 
 def _short(digest: str) -> str:
@@ -91,14 +77,12 @@ def _measured(
 ) -> Iterator[tuple[int, list[BenchRecord], list[Row]]]:
     """``verify`` and ``bench``: measure one n, then build its rows, each record
     beside the first one measured at its n, with ``extra(record, that one)``."""
-    measure = partial(
-        run_benchmark,
-        strategies=config.strategies,
-        repetitions=config.repetitions,
-        naive_cutoff=config.naive_cutoff,
-    )
+
+    def measure(n: int) -> list[BenchRecord]:
+        return run_benchmark([n], config.strategies, config.repetitions, config.naive_cutoff)
+
     ns = range(config.n_min, config.n_max + 1)
-    for n, records in zip(ns, _map_over(measure, [[n] for n in ns], config.jobs)):
+    for n, records in zip(ns, _map_over(measure, ns, config.jobs)):
         ref = next((r for r in records if not r.skipped), None)
         checks = (
             (r.strategy.name, None, None, "skipped", None, extra(r, ref))
@@ -166,7 +150,7 @@ def run_verify(config: RunConfig, emit: Emit) -> list[str]:
 # --- steps ------------------------------------------------------------------
 
 def run_steps(config: RunConfig, emit: Emit) -> list[str]:
-    ns = list(range(config.n_min, config.n_max + 1))
+    ns = range(config.n_min, config.n_max + 1)
     verify = partial(verify_chain_timed, steps=config.steps)
     for n, reports in zip(ns, _map_over(verify, ns, config.jobs)):
         checks = ((r.step.name, r.lhs, r.rhs, r.equal, elapsed, {}) for r, elapsed in reports)

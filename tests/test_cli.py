@@ -6,15 +6,16 @@ import csv
 import decimal
 import hashlib
 import io
+import itertools
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import threading
 import time
 import tracemalloc
-from concurrent.futures import Future
 from pathlib import Path
 from unittest import mock
 
@@ -644,82 +645,196 @@ def test_internal_error_exits_3_with_traceback(runner, monkeypatch):
     assert "MemoryError: simulated" in result.stderr
 
 
+def assert_no_children() -> None:
+    """This process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def deadline(seconds: int):
+    """Raise TimeoutError in this process if the block outlasts ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def test_workers_clamped_to_sizes_and_cpus(runner, monkeypatch):
-    started = []
+    forked = []
+    real_fork = os.fork
 
-    class RecordingPool:
-        """Stands in for the process pool: records its size, maps in-process."""
+    def fork():
+        pid = real_fork()
+        if pid:
+            forked.append(pid)
+        return pid
 
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, item):
-            return finished(fn(item))
-
-    monkeypatch.setattr(runs, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "fork", fork)
     monkeypatch.setattr(runs.os, "cpu_count", lambda: 4)
     result = runner.invoke(main, ["verify", "--range", "0..2", "--jobs", "64", "--format", "json"])
     assert result.exit_code == 0
     assert json.loads(result.output)["config"]["jobs"] == 64  # echoes the request
+    assert len(forked) == 3
     assert runner.invoke(main, ["steps", "--range", "1..9", "--jobs", "64"]).exit_code == 0
+    assert len(forked) == 3 + 4
     monkeypatch.setattr(runs.os, "cpu_count", lambda: None)  # unknown: run serially
     assert runner.invoke(main, ["verify", "--range", "0..9", "--jobs", "64"]).exit_code == 0
-    assert started == [3, 4]
+    assert len(forked) == 3 + 4
+    assert_no_children()
 
 
-def finished(value: object) -> Future:
-    future: Future = Future()
-    future.set_result(value)
-    return future
+def test_pool_takes_one_n_per_task(runner, monkeypatch, tmp_path):
+    # one n per task, so the costly large n do not queue behind one worker;
+    # at most 2 * workers + 1 tasks in flight, so results do not pile up;
+    # and results read in input order. Workers log the n of each task they
+    # start, the caller each n it reads, as lines appended to one file.
+    log = tmp_path / "events"
+    caller = os.getpid()
 
+    def logged(event, n, fn, *args, **kwargs):
+        with open(log, "a") as out:
+            out.write(json.dumps([event, n, os.getpid()]) + "\n")
+        return fn(*args, **kwargs)
 
-def test_pool_takes_one_n_per_task(runner, monkeypatch):
-    # one n per task, so the costly large n do not queue behind one worker,
-    # and at most 2 * workers + 1 tasks in flight, so results do not pile up
-    handed, in_flight = [], []
+    def slow_reader(n, checks):
+        time.sleep(0.02)  # workers that could run ahead of the reader would
+        return logged("read", n, real_check_rows, n, checks)
 
-    class RecordingPool:
-        """Stands in for the process pool: records how work is handed to it."""
-
-        def __init__(self, max_workers):
-            pass
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, item):
-            handed.append(item)
-            in_flight.append(len(handed) - len(read))
-            return finished(fn(item))
-
-    read = []
-    real_check_rows = runs._check_rows
-
-    def reading(n, checks):
-        read.append(n)
-        return real_check_rows(n, checks)
-
-    monkeypatch.setattr(runs, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(runs, "_check_rows", reading)
+    real_benchmark, real_chain, real_check_rows = runs.run_benchmark, runs.verify_chain_timed, runs._check_rows
+    monkeypatch.setattr(runs, "run_benchmark", lambda ns, *a: logged("start", ns, real_benchmark, ns, *a))
+    monkeypatch.setattr(runs, "verify_chain_timed", lambda n, **kw: logged("start", [n], real_chain, n, **kw))
+    monkeypatch.setattr(runs, "_check_rows", slow_reader)
     monkeypatch.setattr(runs.os, "cpu_count", lambda: 2)
     verify = ["verify", "--range", "0..40", "--naive-cutoff", "5", "--jobs", "2"]
-    assert runner.invoke(main, verify).exit_code == 0
-    assert handed == [[n] for n in range(41)]
-    assert max(in_flight) == 5
-    for log in (handed, read, in_flight):
-        log.clear()
-    assert runner.invoke(main, ["steps", "--range", "1..20", "--jobs", "2"]).exit_code == 0
-    assert handed == list(range(1, 21))
-    assert max(in_flight) == 5
+    steps = ["steps", "--range", "1..20", "--jobs", "2"]
+    for argv, ns in [(verify, range(41)), (steps, range(1, 21))]:
+        assert runner.invoke(main, argv).exit_code == 0
+        lines = log.read_text().splitlines()
+        log.unlink()
+        events = [json.loads(line) for line in lines]
+        starts = [(task, pid) for event, task, pid in events if event == "start"]
+        assert sorted(task for task, _ in starts) == [[n] for n in ns]
+        assert caller not in {pid for _, pid in starts}
+        reads = [n for event, n, pid in events if event == "read" and pid == caller]
+        assert reads == list(ns)
+        in_flight = list(itertools.accumulate(1 if event == "start" else -1 for event, _, _ in events))
+        assert max(in_flight) == 5
+    assert_no_children()
+
+
+def test_no_fork_runs_serially_with_the_same_report(runner, monkeypatch):
+    monkeypatch.setattr(runs.os, "cpu_count", lambda: 2)
+    argv = ["verify", "--range", "0..12", "--jobs", "2", "--format", "json"]
+    pooled = runner.invoke(main, argv)
+    monkeypatch.delattr(os, "fork")
+    serial = runner.invoke(main, argv)
+    assert pooled.exit_code == serial.exit_code == 0
+    assert mask_durations(serial.output) == mask_durations(pooled.output)
+
+
+#: A pooled call: two workers over 21 n.
+POOLED = ["verify", "--range", "0..20", "--jobs", "2"]
+
+
+def plant_in_worker(monkeypatch, fault) -> None:
+    """Two CPUs, and naive evaluation running ``fault()`` at n = 7 in a pool
+    worker; never in this process, which a fault may not kill."""
+    caller = os.getpid()
+
+    def naive(n):
+        if n == 7 and os.getpid() != caller:
+            fault()
+        return identity.evaluate_naive(n)
+
+    monkeypatch.setattr(runs.os, "cpu_count", lambda: 2)
+    monkeypatch.setitem(identity.EVALUATORS, Strategy.NAIVE, naive)
+
+
+def test_pool_run_leaves_no_child(runner, monkeypatch):
+    monkeypatch.setattr(runs.os, "cpu_count", lambda: 2)
+    result = runner.invoke(main, POOLED)
+    assert result.exit_code == 0, result.output
+    assert result.output.endswith("verify 0..20: all values agree\n")
+    assert_no_children()
+
+
+def test_worker_exception_exits_3_with_its_traceback(runner, monkeypatch):
+    def fails_at_7():
+        raise ValueError("planted at n=7")
+
+    plant_in_worker(monkeypatch, fails_at_7)
+    result = runner.invoke(main, POOLED)
+    assert result.exit_code == 3
+    assert "ValueError: planted at n=7" in result.stderr
+    # the worker's traceback, as concurrent.futures frames it, then the caller's
+    remote = result.stderr.split('"""')[1]
+    assert remote.startswith("\nTraceback (most recent call last)")
+    assert "in fails_at_7" in remote
+    assert "direct cause of the following exception" in result.stderr
+    assert "n=6 ok" in result.stdout
+    assert "n=7" not in result.stdout
+    assert_no_children()
+
+
+def test_unpicklable_worker_exception_arrives_as_runtime_error(runner, monkeypatch):
+    class NeedsTwo(Exception):
+        def __init__(self, a, b):
+            super().__init__(a)
+
+    def fails_at_7():
+        raise NeedsTwo("planted at n=7", 2)  # pickles, but cannot be rebuilt
+
+    plant_in_worker(monkeypatch, fails_at_7)
+    result = runner.invoke(main, POOLED)
+    assert result.exit_code == 3
+    assert "RuntimeError: NeedsTwo raised in pool worker" in result.stderr
+    assert "could not be pickled: planted at n=7" in result.stderr
+    assert "in fails_at_7" in result.stderr.split('"""')[1]
+    assert_no_children()
+
+
+def test_killed_worker_exits_3_and_never_hangs(runner, monkeypatch):
+    plant_in_worker(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+    with deadline(60):
+        result = runner.invoke(main, POOLED)
+    assert result.exit_code == 3
+    assert re.search(r"RuntimeError: pool worker \d+ ended with exit status -9 before sending its results", result.stderr)
+    assert_no_children()
+
+
+def test_interrupted_pool_run_exits_130(runner, monkeypatch):
+    real_check_rows = runs._check_rows
+
+    def interrupted_at_3(n, checks):
+        if n == 3:
+            raise KeyboardInterrupt
+        return real_check_rows(n, checks)
+
+    monkeypatch.setattr(runs.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(runs, "_check_rows", interrupted_at_3)
+    result = runner.invoke(main, POOLED)
+    assert result.exit_code == 130
+    assert "Aborted!" in result.stderr
+    assert_no_children()
+
+
+def test_embedded_pool_run_into_a_gone_reader_returns_141(monkeypatch):
+    class GoneReader(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError
+
+    monkeypatch.setattr(runs.os, "cpu_count", lambda: 2)
+    with contextlib.redirect_stdout(GoneReader()):
+        assert main.main(POOLED, standalone_mode=False) == 141
+    assert_no_children()
 
 
 def test_interrupt_exits_130(runner, monkeypatch):
@@ -958,6 +1073,47 @@ def test_peak_memory_does_not_grow_with_range(monkeypatch, command, first, last,
     traced_peak(short)  # first call: lazy imports and caches
     wide = traced_peak([command, "--range", f"{first}..{last}", *options])
     assert wide <= traced_peak(short) + MEMORY_SLACK[command]
+
+
+def fails_at(target: int, fn):
+    """``fn``, raising RuntimeError at n = ``target``."""
+
+    def planted(n, *args, **kwargs):
+        if n == target:
+            raise RuntimeError(f"planted at n={target}")
+        return fn(n, *args, **kwargs)
+
+    return planted
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "--range", "0..1000000", "--strategy", "symmetrized", "--strategy", "closed-form"],
+     ["steps", "--range", "1..1000000"]],
+    ids=["verify", "steps"],
+)
+def test_no_list_of_the_range_is_built_before_the_first_n(monkeypatch, argv, jobs):
+    # a list of every n of a wide range, made before the first n runs, cost
+    # some 100 MB (verify) and 36 MB (steps) of Python heap per million n
+    monkeypatch.setattr(runs.os, "cpu_count", lambda: 2)
+    monkeypatch.setitem(identity.EVALUATORS, Strategy.CLOSED_FORM, fails_at(1, identity.evaluate_closed_form))
+    monkeypatch.setattr(runs, "verify_chain_timed", fails_at(2, chain.verify_chain_timed))
+    call = [*argv, "--jobs", jobs, "--format", "csv"]
+
+    def peak() -> int:
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                with pytest.raises(RuntimeError, match="planted at n="):
+                    main.main(call, standalone_mode=False)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    peak()  # first call: lazy imports and caches
+    assert peak() < 1024 * 1024
+    assert_no_children()
 
 
 class TestNaiveCutoffOnValueCommands:

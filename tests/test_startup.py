@@ -1,14 +1,17 @@
 """Start-up guard: a call loads only the machinery its command runs.
 
 Every ``cbsum`` call is a fresh interpreter, so each standard-library
-module imported at start-up costs every call. The process pool, bench's
-durations and median, the traceback printer and ``decimal`` (for values
-too long for ``str(int)``) are imported where they are used.
-cbsum's own modules are not deferred: tracers look them up in
-``sys.modules`` right after ``import cbsum.cli``. No command loads
-``hashlib`` or OpenSSL's binding ``_hashlib``, which adds about 3.6 MB to
-the resident set: digests take SHA-256 from the interpreter's built-in
-module, and neither the pool's imports nor bench's pull ``hashlib`` in.
+module imported at start-up costs every call. bench's durations and
+median, the traceback printer, ``decimal`` (for values too long for
+``str(int)``) and cbsum's own worker pool, ``cbsum.pool``, are imported
+where they are used. The other cbsum modules are not deferred: tracers
+look them up in ``sys.modules`` right after ``import cbsum.cli``. No
+command loads ``hashlib`` or OpenSSL's binding ``_hashlib``, which adds
+about 3.6 MB to the resident set: digests take SHA-256 from the
+interpreter's built-in module. Nor does any command load
+``multiprocessing`` or ``concurrent.futures``, which with ``socket``,
+``subprocess`` and ``logging`` added about 1.9 MB to every pooled process:
+``--jobs`` runs on ``cbsum.pool``'s forked workers and pipes.
 """
 from __future__ import annotations
 
@@ -22,7 +25,7 @@ import cbsum
 
 SRC = Path(cbsum.__file__).resolve().parent.parent
 
-DEFERRED = ("multiprocessing", "concurrent.futures", "array", "statistics", "traceback", "decimal")
+DEFERRED = ("cbsum.pool", "array", "statistics", "traceback", "decimal")
 EAGER = (
     "cbsum.runs",
     "cbsum.identity",
@@ -31,14 +34,15 @@ EAGER = (
     "cbsum.digests",
     "cbsum.report",
 )
-NEVER = ("hashlib", "_hashlib")
+NEVER = ("multiprocessing", "concurrent.futures", "hashlib", "_hashlib")
 
 
 def loaded_after(calls: list[list[str]], names: tuple[str, ...]) -> dict[str, bool]:
     """Which of ``names`` one fresh interpreter has loaded after running
     each of ``calls`` through the embedded CLI."""
     probe = f"""
-import json, sys
+import json, os, sys
+os.cpu_count = lambda: 2  # so that --jobs 2 starts two workers on any host
 from cbsum.cli import main
 for argv in {calls!r}:
     code = main.main(argv, standalone_mode=False)
@@ -73,5 +77,5 @@ def test_no_command_loads_openssl():
         ["steps", "--range", "1..3"],
         ["bench", "--n", "3", "--repetitions", "1"],
     ]
-    loaded = loaded_after(calls, NEVER + ("cbsum.digests",))
-    assert loaded == {"hashlib": False, "_hashlib": False, "cbsum.digests": True}
+    loaded = loaded_after(calls, NEVER + ("cbsum.digests", "cbsum.pool"))
+    assert loaded == {**dict.fromkeys(NEVER, False), "cbsum.digests": True, "cbsum.pool": True}
