@@ -14,14 +14,16 @@ caller's ``finally`` blocks, atexit handlers or flush of stdout. When the
 tasks run out it sees EOF on the task pipe, and it stops at a broken
 result pipe, so a worker whose caller died ends too. On every way out of
 :func:`imap`, end of results, an exception or the generator being closed,
-the caller closes its pipes and kills and reaps every worker.
+the caller closes its pipes and kills and reaps every worker. A fork
+copies only the calling thread, so the caller must hold no other thread
+that a worker's work would wait on; the CLI starts none.
 
 An exception raised by ``fn`` reaches the caller as the same type and
 message, with the worker's traceback text as its ``__cause__``, as
 ``concurrent.futures`` attaches it; one that does not survive pickling
-arrives as a ``RuntimeError`` with that traceback. A worker that dies
-without sending its results raises a ``RuntimeError`` naming its pid and
-exit status.
+arrives as a ``RuntimeError`` with that traceback. A worker that ends
+before the task pipe is closed, or with a nonzero status, has lost its
+results: that raises a ``RuntimeError`` naming its pid and exit status.
 """
 from __future__ import annotations
 
@@ -79,7 +81,7 @@ def imap(fn: Callable[[Any], Any], items: Sequence[Any], workers: int) -> Iterat
                 readable.unregister(fd)
                 close(fd)
                 status = os.waitpid(pid, 0)[1]
-                if status:
+                if status or tasks_w in owned:
                     code = os.waitstatus_to_exitcode(status)
                     raise RuntimeError(f"pool worker {pid} ended with exit status {code} before sending its results")
                 continue
@@ -142,7 +144,7 @@ def _serve(fn: Callable[[Any], Any], items: Sequence[Any], tasks: int, results: 
         index = int.from_bytes(task, "little")
         try:
             record = pickle.dumps((index, True, fn(items[index])), pickle.HIGHEST_PROTOCOL)
-        except BaseException as exc:
+        except BaseException as exc:  # the caller raises it again, whatever it is
             record = _failure(index, exc)
         data = memoryview(len(record).to_bytes(LENGTH_BYTES, "little") + record)
         while data:

@@ -651,23 +651,21 @@ def assert_no_children() -> None:
         os.waitpid(-1, os.WNOHANG)
 
 
-@contextlib.contextmanager
-def deadline(seconds: int):
-    """Raise TimeoutError in this process if the block outlasts ``seconds``."""
+@pytest.fixture
+def within_a_minute():
+    """A pool that hangs fails the test: TimeoutError after 60 s."""
 
     def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
+        raise TimeoutError("still running after 60 s")
 
     previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
 
 
-def test_workers_clamped_to_sizes_and_cpus(runner, monkeypatch):
+def test_workers_clamped_to_sizes_and_cpus(runner, monkeypatch, within_a_minute):
     forked = []
     real_fork = os.fork
 
@@ -691,7 +689,7 @@ def test_workers_clamped_to_sizes_and_cpus(runner, monkeypatch):
     assert_no_children()
 
 
-def test_pool_takes_one_n_per_task(runner, monkeypatch, tmp_path):
+def test_pool_takes_one_n_per_task(runner, monkeypatch, tmp_path, within_a_minute):
     # one n per task, so the costly large n do not queue behind one worker;
     # at most 2 * workers + 1 tasks in flight, so results do not pile up;
     # and results read in input order. Workers log the n of each task they
@@ -730,7 +728,7 @@ def test_pool_takes_one_n_per_task(runner, monkeypatch, tmp_path):
     assert_no_children()
 
 
-def test_no_fork_runs_serially_with_the_same_report(runner, monkeypatch):
+def test_no_fork_runs_serially_with_the_same_report(runner, monkeypatch, within_a_minute):
     monkeypatch.setattr(runs.os, "cpu_count", lambda: 2)
     argv = ["verify", "--range", "0..12", "--jobs", "2", "--format", "json"]
     pooled = runner.invoke(main, argv)
@@ -758,7 +756,7 @@ def plant_in_worker(monkeypatch, fault) -> None:
     monkeypatch.setitem(identity.EVALUATORS, Strategy.NAIVE, naive)
 
 
-def test_pool_run_leaves_no_child(runner, monkeypatch):
+def test_pool_run_leaves_no_child(runner, monkeypatch, within_a_minute):
     monkeypatch.setattr(runs.os, "cpu_count", lambda: 2)
     result = runner.invoke(main, POOLED)
     assert result.exit_code == 0, result.output
@@ -766,7 +764,7 @@ def test_pool_run_leaves_no_child(runner, monkeypatch):
     assert_no_children()
 
 
-def test_worker_exception_exits_3_with_its_traceback(runner, monkeypatch):
+def test_worker_exception_exits_3_with_its_traceback(runner, monkeypatch, within_a_minute):
     def fails_at_7():
         raise ValueError("planted at n=7")
 
@@ -784,7 +782,7 @@ def test_worker_exception_exits_3_with_its_traceback(runner, monkeypatch):
     assert_no_children()
 
 
-def test_unpicklable_worker_exception_arrives_as_runtime_error(runner, monkeypatch):
+def test_unpicklable_worker_exception_arrives_as_runtime_error(runner, monkeypatch, within_a_minute):
     class NeedsTwo(Exception):
         def __init__(self, a, b):
             super().__init__(a)
@@ -801,16 +799,21 @@ def test_unpicklable_worker_exception_arrives_as_runtime_error(runner, monkeypat
     assert_no_children()
 
 
-def test_killed_worker_exits_3_and_never_hangs(runner, monkeypatch):
-    plant_in_worker(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
-    with deadline(60):
-        result = runner.invoke(main, POOLED)
+@pytest.mark.parametrize(
+    "fault,status",
+    [(lambda: os.kill(os.getpid(), signal.SIGKILL), -9), (lambda: os._exit(0), 0)],
+    ids=["killed", "exits-0"],
+)
+def test_worker_that_ends_mid_task_exits_3_and_never_hangs(runner, monkeypatch, fault, status, within_a_minute):
+    plant_in_worker(monkeypatch, fault)
+    result = runner.invoke(main, POOLED)
     assert result.exit_code == 3
-    assert re.search(r"RuntimeError: pool worker \d+ ended with exit status -9 before sending its results", result.stderr)
+    message = rf"RuntimeError: pool worker \d+ ended with exit status {status} before sending its results"
+    assert re.search(message, result.stderr)
     assert_no_children()
 
 
-def test_interrupted_pool_run_exits_130(runner, monkeypatch):
+def test_interrupted_pool_run_exits_130(runner, monkeypatch, within_a_minute):
     real_check_rows = runs._check_rows
 
     def interrupted_at_3(n, checks):
@@ -826,7 +829,7 @@ def test_interrupted_pool_run_exits_130(runner, monkeypatch):
     assert_no_children()
 
 
-def test_embedded_pool_run_into_a_gone_reader_returns_141(monkeypatch):
+def test_embedded_pool_run_into_a_gone_reader_returns_141(monkeypatch, within_a_minute):
     class GoneReader(io.StringIO):
         def write(self, text):
             raise BrokenPipeError
@@ -1093,7 +1096,7 @@ def fails_at(target: int, fn):
      ["steps", "--range", "1..1000000"]],
     ids=["verify", "steps"],
 )
-def test_no_list_of_the_range_is_built_before_the_first_n(monkeypatch, argv, jobs):
+def test_no_list_of_the_range_is_built_before_the_first_n(monkeypatch, argv, jobs, within_a_minute):
     # a list of every n of a wide range, made before the first n runs, cost
     # some 100 MB (verify) and 36 MB (steps) of Python heap per million n
     monkeypatch.setattr(runs.os, "cpu_count", lambda: 2)
