@@ -77,10 +77,11 @@ def imap(fn: Callable[[Any], Any], items: Sequence[Any], workers: int) -> Iterat
         for fd, _ in readable.poll():
             chunk = os.read(fd, 1 << 16)
             if not chunk:  # the worker has ended
-                pid = running.pop(fd)
+                pid = running[fd]
+                status = os.waitpid(pid, 0)[1]
+                del running[fd]  # only once reaped: else the way out reaps it
                 readable.unregister(fd)
                 close(fd)
-                status = os.waitpid(pid, 0)[1]
                 if status or tasks_w in owned:
                     code = os.waitstatus_to_exitcode(status)
                     raise RuntimeError(f"pool worker {pid} ended with exit status {code} before sending its results")

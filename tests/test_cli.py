@@ -1097,8 +1097,8 @@ def fails_at(target: int, fn):
     ids=["verify", "steps"],
 )
 def test_no_list_of_the_range_is_built_before_the_first_n(monkeypatch, argv, jobs, within_a_minute):
-    # a list of every n of a wide range, made before the first n runs, cost
-    # some 100 MB (verify) and 36 MB (steps) of Python heap per million n
+    # a list of every n of a wide range, made before the first n runs, took
+    # about 100 MB (verify) and 40 MB (steps) of Python heap per million n
     monkeypatch.setattr(runs.os, "cpu_count", lambda: 2)
     monkeypatch.setitem(identity.EVALUATORS, Strategy.CLOSED_FORM, fails_at(1, identity.evaluate_closed_form))
     monkeypatch.setattr(runs, "verify_chain_timed", fails_at(2, chain.verify_chain_timed))
