@@ -782,18 +782,26 @@ def test_worker_exception_exits_3_with_its_traceback(runner, monkeypatch, within
     assert_no_children()
 
 
-def test_unpicklable_worker_exception_arrives_as_runtime_error(runner, monkeypatch, within_a_minute):
-    class NeedsTwo(Exception):
-        def __init__(self, a, b):
-            super().__init__(a)
+class NeedsTwo(Exception):
+    """Pickles, but cannot be rebuilt: its pickle calls it with one argument."""
+
+    def __init__(self, a, b):
+        super().__init__(a)
+
+
+@pytest.mark.parametrize("local", [True, False], ids=["not-picklable", "not-rebuildable"])
+def test_unpicklable_worker_exception_arrives_as_runtime_error(runner, monkeypatch, local, within_a_minute):
+    class LocalError(Exception):
+        """A class pickle cannot look up by name."""
 
     def fails_at_7():
-        raise NeedsTwo("planted at n=7", 2)  # pickles, but cannot be rebuilt
+        raise LocalError("planted at n=7") if local else NeedsTwo("planted at n=7", 2)
 
     plant_in_worker(monkeypatch, fails_at_7)
     result = runner.invoke(main, POOLED)
     assert result.exit_code == 3
-    assert "RuntimeError: NeedsTwo raised in pool worker" in result.stderr
+    name = "LocalError" if local else "NeedsTwo"
+    assert f"RuntimeError: {name} raised in pool worker" in result.stderr
     assert "could not be pickled: planted at n=7" in result.stderr
     assert "in fails_at_7" in result.stderr.split('"""')[1]
     assert_no_children()
