@@ -14,10 +14,10 @@ one option is its type, named in the message and shown by ``--help``:
 ``eval --n`` at most ``MAX_EVAL_N`` and ``--repetitions`` from 1 to
 ``MAX_REPETITIONS``; :class:`NRange` reads
 ``--range`` as ``N`` or ``A..B``, A <= B, with A >= 0, or A >= 1 for
-``steps``. Rules that tie options together sit in their command: one
-rule, :func:`_require_measured`, counts the strategies measured at the
-largest n, which ``eval``, ``table`` and ``bench`` need one of and
-``verify`` two; ``bench`` takes exactly one of ``--n`` and ``--range``.
+``steps``, and at most ``sys.maxsize`` n. Rules that tie options
+together sit in their command: one rule, :func:`_require_measured`,
+counts the strategies measured at the largest n, which ``eval``,
+``table`` and ``bench`` need one of and ``verify`` two; ``bench`` takes exactly one of ``--n`` and ``--range``.
 """
 from __future__ import annotations
 
@@ -60,6 +60,8 @@ class NRange(click.ParamType):
             self.fail(f"{value!r}: n must be >= {self.least}" + (self.why and ": " + self.why), param, ctx)
         if lo > hi:
             self.fail(f"{value!r}: lower bound exceeds upper", param, ctx)
+        if hi - lo + 1 > sys.maxsize:  # len() of the range must fit in a C ssize_t
+            self.fail(f"{value!r}: more than {sys.maxsize} n", param, ctx)
         return lo, hi
 
 

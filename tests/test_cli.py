@@ -6,7 +6,6 @@ import csv
 import decimal
 import hashlib
 import io
-import itertools
 import json
 import os
 import re
@@ -31,6 +30,7 @@ from cbsum.chain import CHAIN_COMPARISONS, StepId
 from cbsum.cli import NRange, main
 from cbsum.identity import Strategy
 
+from conftest import assert_no_children
 from oracle import closed_form_by_comb
 from test_digests import reference_str
 from test_golden import mask_durations
@@ -627,6 +627,13 @@ def test_help_shows_each_bound(runner, command, options):
             f"Invalid value for '--n': {MAX_EVAL_N + 1} is not in the range 0<=x<={MAX_EVAL_N}",
             None,
         ),
+        # more n than a range can count: len() of it would raise OverflowError
+        (
+            ["verify", "--range", "0..100000000000000000000"],
+            f"Invalid value for '--range': '0..100000000000000000000': more than {sys.maxsize} n",
+            None,
+        ),
+        (["bench", "--range", f"1..{sys.maxsize + 1}"], "Invalid value for '--range'", None),
     ],
 )
 def test_usage_error_exits_2_and_raises_when_embedded(argv, fragment, env):
@@ -643,26 +650,6 @@ def test_internal_error_exits_3_with_traceback(runner, monkeypatch):
     assert result.exit_code == 3
     assert "Traceback (most recent call last)" in result.stderr
     assert "MemoryError: simulated" in result.stderr
-
-
-def assert_no_children() -> None:
-    """This process has no child left, running or unreaped."""
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.fixture
-def within_a_minute():
-    """A pool that hangs fails the test: TimeoutError after 60 s."""
-
-    def expire(signum, frame):
-        raise TimeoutError("still running after 60 s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(60)
-    yield
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, previous)
 
 
 def test_workers_clamped_to_sizes_and_cpus(runner, monkeypatch, within_a_minute):
@@ -689,11 +676,11 @@ def test_workers_clamped_to_sizes_and_cpus(runner, monkeypatch, within_a_minute)
     assert_no_children()
 
 
-def test_pool_takes_one_n_per_task(runner, monkeypatch, tmp_path, within_a_minute):
-    # one n per task, so the costly large n do not queue behind one worker;
-    # at most 2 * workers + 1 tasks in flight, so results do not pile up;
-    # and results read in input order. Workers log the n of each task they
-    # start, the caller each n it reads, as lines appended to one file.
+def test_pool_strides_each_worker_over_one_residue_class(runner, monkeypatch, tmp_path, within_a_minute):
+    # one n per task, each worker taking every second n in ascending order,
+    # none run in the caller, and results read in input order. Workers log
+    # the n of each task they start, the caller each n it reads, as lines
+    # appended to one file.
     log = tmp_path / "events"
     caller = os.getpid()
 
@@ -702,14 +689,10 @@ def test_pool_takes_one_n_per_task(runner, monkeypatch, tmp_path, within_a_minut
             out.write(json.dumps([event, n, os.getpid()]) + "\n")
         return fn(*args, **kwargs)
 
-    def slow_reader(n, checks):
-        time.sleep(0.02)  # workers that could run ahead of the reader would
-        return logged("read", n, real_check_rows, n, checks)
-
     real_benchmark, real_chain, real_check_rows = runs.run_benchmark, runs.verify_chain_timed, runs._check_rows
     monkeypatch.setattr(runs, "run_benchmark", lambda ns, *a: logged("start", ns, real_benchmark, ns, *a))
     monkeypatch.setattr(runs, "verify_chain_timed", lambda n, **kw: logged("start", [n], real_chain, n, **kw))
-    monkeypatch.setattr(runs, "_check_rows", slow_reader)
+    monkeypatch.setattr(runs, "_check_rows", lambda n, checks: logged("read", n, real_check_rows, n, checks))
     monkeypatch.setattr(runs.os, "cpu_count", lambda: 2)
     verify = ["verify", "--range", "0..40", "--naive-cutoff", "5", "--jobs", "2"]
     steps = ["steps", "--range", "1..20", "--jobs", "2"]
@@ -721,10 +704,12 @@ def test_pool_takes_one_n_per_task(runner, monkeypatch, tmp_path, within_a_minut
         starts = [(task, pid) for event, task, pid in events if event == "start"]
         assert sorted(task for task, _ in starts) == [[n] for n in ns]
         assert caller not in {pid for _, pid in starts}
+        by_worker: dict[int, list[int]] = {}
+        for [n], pid in starts:
+            by_worker.setdefault(pid, []).append(n)
+        assert sorted(by_worker.values()) == [list(ns[0::2]), list(ns[1::2])]
         reads = [n for event, n, pid in events if event == "read" and pid == caller]
         assert reads == list(ns)
-        in_flight = list(itertools.accumulate(1 if event == "start" else -1 for event, _, _ in events))
-        assert max(in_flight) == 5
     assert_no_children()
 
 
