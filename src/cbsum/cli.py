@@ -17,7 +17,8 @@ one option is its type, named in the message and shown by ``--help``:
 ``steps``, and at most ``sys.maxsize`` n. Rules that tie options
 together sit in their command: one rule, :func:`_require_measured`,
 counts the strategies measured at the largest n, which ``eval``,
-``table`` and ``bench`` need one of and ``verify`` two; ``bench`` takes exactly one of ``--n`` and ``--range``.
+``table`` and ``bench`` need one of and ``verify`` two; ``bench`` takes
+exactly one of ``--n`` and ``--range``.
 """
 from __future__ import annotations
 

@@ -38,8 +38,8 @@ def _map_over(fn: Callable[[Any], Any], items: Sequence[Any], jobs: int) -> Iter
     """``fn`` over ``items``, each result handed back in input order as it
     arrives, so a caller can finish with one before the next is made. With
     two or more workers, and ``os.fork``, the work goes to :mod:`.pool`,
-    one item per task: a worker that finishes takes the next n, so the
-    costly large n at the end of a range do not queue behind one worker."""
+    which deals the items out by stride: the cost of one n grows smoothly
+    with n, so each worker's share of a range costs about the same."""
     workers = min(jobs, len(items), os.cpu_count() or 1)
     if workers <= 1 or not hasattr(os, "fork"):
         return map(fn, items)

@@ -6,7 +6,6 @@ import csv
 import decimal
 import hashlib
 import io
-import itertools
 import json
 import os
 import re
@@ -677,11 +676,11 @@ def test_workers_clamped_to_sizes_and_cpus(runner, monkeypatch, within_a_minute)
     assert_no_children()
 
 
-def test_pool_takes_one_n_per_task(runner, monkeypatch, tmp_path, within_a_minute):
-    # one n per task, so the costly large n do not queue behind one worker;
-    # at most 2 * workers + 1 tasks in flight, so results do not pile up;
-    # and results read in input order. Workers log the n of each task they
-    # start, the caller each n it reads, as lines appended to one file.
+def test_pool_strides_each_worker_over_one_residue_class(runner, monkeypatch, tmp_path, within_a_minute):
+    # one n per task, each worker taking every second n in ascending order,
+    # none run in the caller, and results read in input order. Workers log
+    # the n of each task they start, the caller each n it reads, as lines
+    # appended to one file.
     log = tmp_path / "events"
     caller = os.getpid()
 
@@ -690,14 +689,10 @@ def test_pool_takes_one_n_per_task(runner, monkeypatch, tmp_path, within_a_minut
             out.write(json.dumps([event, n, os.getpid()]) + "\n")
         return fn(*args, **kwargs)
 
-    def slow_reader(n, checks):
-        time.sleep(0.02)  # workers that could run ahead of the reader would
-        return logged("read", n, real_check_rows, n, checks)
-
     real_benchmark, real_chain, real_check_rows = runs.run_benchmark, runs.verify_chain_timed, runs._check_rows
     monkeypatch.setattr(runs, "run_benchmark", lambda ns, *a: logged("start", ns, real_benchmark, ns, *a))
     monkeypatch.setattr(runs, "verify_chain_timed", lambda n, **kw: logged("start", [n], real_chain, n, **kw))
-    monkeypatch.setattr(runs, "_check_rows", slow_reader)
+    monkeypatch.setattr(runs, "_check_rows", lambda n, checks: logged("read", n, real_check_rows, n, checks))
     monkeypatch.setattr(runs.os, "cpu_count", lambda: 2)
     verify = ["verify", "--range", "0..40", "--naive-cutoff", "5", "--jobs", "2"]
     steps = ["steps", "--range", "1..20", "--jobs", "2"]
@@ -709,10 +704,12 @@ def test_pool_takes_one_n_per_task(runner, monkeypatch, tmp_path, within_a_minut
         starts = [(task, pid) for event, task, pid in events if event == "start"]
         assert sorted(task for task, _ in starts) == [[n] for n in ns]
         assert caller not in {pid for _, pid in starts}
+        by_worker: dict[int, list[int]] = {}
+        for [n], pid in starts:
+            by_worker.setdefault(pid, []).append(n)
+        assert sorted(by_worker.values()) == [list(ns[0::2]), list(ns[1::2])]
         reads = [n for event, n, pid in events if event == "read" and pid == caller]
         assert reads == list(ns)
-        in_flight = list(itertools.accumulate(1 if event == "start" else -1 for event, _, _ in events))
-        assert max(in_flight) == 5
     assert_no_children()
 
 

@@ -11,7 +11,9 @@ about 3.6 MB to the resident set: digests take SHA-256 from the
 interpreter's built-in module. Nor does any command load
 ``multiprocessing`` or ``concurrent.futures``, which with ``socket``,
 ``subprocess`` and ``logging`` added about 1.9 MB to every pooled process:
-``--jobs`` runs on ``cbsum.pool``'s forked workers and pipes.
+``--jobs`` runs on ``cbsum.pool``'s forked workers and pipes. Nor does any
+command load ``select``: each worker runs a fixed share of the range, so
+the caller reads the pipe whose result is due next, and waits on no other.
 """
 from __future__ import annotations
 
@@ -34,7 +36,7 @@ EAGER = (
     "cbsum.digests",
     "cbsum.report",
 )
-NEVER = ("multiprocessing", "concurrent.futures", "hashlib", "_hashlib")
+NEVER = ("multiprocessing", "concurrent.futures", "hashlib", "_hashlib", "select")
 
 
 def loaded_after(calls: list[list[str]], names: tuple[str, ...]) -> dict[str, bool]:
@@ -75,6 +77,7 @@ def test_no_command_loads_openssl():
         ["verify", "--range", "0..3"],
         ["verify", "--range", "0..3", "--jobs", "2"],  # the pool's import chain
         ["steps", "--range", "1..3"],
+        ["steps", "--range", "1..3", "--jobs", "2"],
         ["bench", "--n", "3", "--repetitions", "1"],
     ]
     loaded = loaded_after(calls, NEVER + ("cbsum.digests", "cbsum.pool"))
