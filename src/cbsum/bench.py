@@ -18,8 +18,7 @@ marker record rather than silently vanishing from the report.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from .identity import EVALUATORS, Strategy
 
@@ -44,8 +43,7 @@ MAX_REPETITIONS = 10_000
 MAX_EVAL_N = 10_000_000
 
 
-@dataclass(frozen=True)
-class BenchRecord:
+class BenchRecord(NamedTuple):
     """One timing measurement (or an explicit skip marker).
 
     For skip markers ``duration_ns`` is 0 and ``value`` None; for real

@@ -38,9 +38,8 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
 from functools import cache
-from typing import Collection
+from typing import Collection, NamedTuple
 
 from .bench import timed
 from .combinatorics import binomial, pascal_row
@@ -67,8 +66,7 @@ class StepId(enum.Enum):
 CHAIN_COMPARISONS: tuple[StepId, ...] = tuple(StepId)
 
 
-@dataclass(frozen=True)
-class StepReport:
+class StepReport(NamedTuple):
     """Outcome of checking one derivation step at one n.
 
     ``equal`` reflects the full per-step check. For every step except
@@ -88,8 +86,8 @@ class _Rows:
     """Rows 2n (``big``) and 2n-2 (``small``) of Pascal's triangle, with
     their prefix sums: ``big_sum(a, b)`` is sum(big[a:b]) for 0 <= a <= b.
 
-    A plain class, not a dataclass: building one at import would add about
-    1.5 ms to every command's start-up.
+    A plain class with slots, not a named tuple like :class:`StepReport`:
+    it builds its fields from ``n`` rather than being handed them.
     """
 
     __slots__ = ("big", "small", "_big_prefix", "_small_prefix")
@@ -215,8 +213,7 @@ def closure_sides(n: int, rows: _Rows, telescoped: int) -> tuple[int, int]:
     return 4 * (2 * n - 1) * telescoped, n * center * center
 
 
-@dataclass(frozen=True)
-class AlternativeFinish:
+class AlternativeFinish(NamedTuple):
     """The X-based ending: L6 rewritten purely in terms of X.
 
     ``expression`` is

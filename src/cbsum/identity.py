@@ -20,8 +20,7 @@ Pascal's rule.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict
+from typing import TYPE_CHECKING, Callable, Dict, NamedTuple
 
 from .combinatorics import binomial, exact_decimal, pascal_row
 
@@ -43,8 +42,7 @@ class Strategy(enum.Enum):
     CLOSED_FORM = "closed-form"
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class EvalResult(NamedTuple):
     n: int
     strategy: Strategy
     value: int

@@ -27,7 +27,7 @@ message, with the worker's traceback text as its ``__cause__``, as
 ``concurrent.futures`` attaches it; one that does not survive pickling
 arrives as a ``RuntimeError`` with that traceback. A worker whose pipe
 ends where its next result is due has lost its results: that raises a
-``RuntimeError`` naming its pid and exit status.
+``RuntimeError`` naming its pid, its exit status and the item due.
 """
 from __future__ import annotations
 
@@ -82,7 +82,10 @@ def imap(fn: Callable[[Any], Any], items: Sequence[Any], workers: int) -> Iterat
                 status = os.waitpid(pid, 0)[1]
                 del running[w]  # only once reaped: else the way out reaps it
                 code = os.waitstatus_to_exitcode(status)
-                raise RuntimeError(f"pool worker {pid} ended with exit status {code} before sending its results")
+                raise RuntimeError(
+                    f"pool worker {pid} ended with exit status {code} before sending its results "
+                    f"(item {items[index]!r} was due)"
+                )
             ok, value = pickle.loads(record)
             if not ok:
                 exc, tb = value

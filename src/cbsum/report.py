@@ -1,6 +1,6 @@
 """Report shapes shared by all CLI commands.
 
-:class:`RunConfig` is a plain record of one run's settings; the CLI fills
+:class:`RunConfig` is a named tuple of one run's settings; the CLI fills
 it and checks every input before building it. A report is rendered and
 written in parts as the run goes, one part per ``n`` and one closing
 part, so no run holds its whole report. The three output formats encode
@@ -24,8 +24,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, NamedTuple, Sequence
 
 from .bench import DEFAULT_NAIVE_CUTOFF
 from .chain import CHAIN_COMPARISONS, StepId
@@ -45,8 +44,7 @@ TABLE_CSV_COLUMNS = ("n", "value", "digest", "digits")
 DEFAULT_DIGEST_THRESHOLD = 1000
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Everything that determines a run's output: a record that the CLI
     fills from its options and checks, not a validator. Each field bears
     the name of its option and of its key in the JSON config.
@@ -69,7 +67,7 @@ class RunConfig:
 
     def to_dict(self) -> dict[str, Any]:
         """The fields as the JSON config prints them: members by name."""
-        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
+        return {name: _plain(value) for name, value in zip(self._fields, self)}
 
 
 def _plain(value: Any) -> Any:

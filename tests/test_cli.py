@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface and its report formats."""
 from __future__ import annotations
 
+import builtins
 import contextlib
 import csv
 import decimal
@@ -18,7 +19,6 @@ import tracemalloc
 from pathlib import Path
 from unittest import mock
 
-import click
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
@@ -47,11 +47,11 @@ def rows_from_csv(output: str) -> list[dict]:
 
 def assert_usage_error(argv: list[str], *fragments: str, env: dict[str, str] | None = None) -> None:
     """``argv`` exits 2 with each of ``fragments`` in its message, and
-    raises click.UsageError with that message when the CLI is embedded."""
+    raises cli.UsageError with that message when the CLI is embedded."""
     result = CliRunner().invoke(main, argv, env=env)
     assert result.exit_code == 2, result.output
     with mock.patch.dict(os.environ, env or {}):
-        with pytest.raises(click.UsageError) as raised:
+        with pytest.raises(cli.UsageError) as raised:
             main.main(argv, standalone_mode=False)
     for fragment in fragments:
         assert fragment in result.output
@@ -60,10 +60,8 @@ def assert_usage_error(argv: list[str], *fragments: str, env: dict[str, str] | N
 
 class TestParseRange:
     def test_forms(self):
-        assert NRange().convert("0..50", None, None) == (0, 50)
-        assert NRange().convert("7", None, None) == (7, 7)
-        # a value click has converted already comes back as it is
-        assert NRange().convert((3, 4), None, None) == (3, 4)
+        assert NRange().convert("0..50") == (0, 50)
+        assert NRange().convert("7") == (7, 7)
 
     @pytest.mark.parametrize("bad", ["abc", "5..2", "-3..4", "1..x", "", "1.."])
     def test_rejects_malformed(self, bad):
@@ -184,6 +182,17 @@ class TestVerify:
         assert result.exit_code == 1
         assert "MISMATCH" in result.output
         assert "n=1" in result.output  # pinpoints the first failing size
+
+    def test_mismatch_still_checks_and_writes_every_n(self, runner, monkeypatch):
+        # a mismatch at n = 2 does not stop the run: every n of the range
+        # is checked and written, and the exit code comes at the end
+        real = identity.evaluate_closed_form
+        monkeypatch.setitem(identity.EVALUATORS, Strategy.CLOSED_FORM, lambda n: real(n) + (n == 2))
+        result = runner.invoke(main, ["verify", "--range", "0..40", "--format", "csv"])
+        assert result.exit_code == 1
+        rows = rows_from_csv(result.output)
+        assert [int(r["n"]) for r in rows] == [n for n in range(41) for _ in Strategy]
+        assert {int(r["n"]) for r in rows if r["equal"] == "false"} == {2}
 
     def test_mismatch_report_carries_both_digests(self, runner, monkeypatch):
         def corrupt(n):
@@ -545,7 +554,7 @@ def test_stopped_clock_reads_1_ns(runner, monkeypatch, argv):
         assert row["duration_ns"] == (None if row in skipped else 1), row
 
 
-#: The range each bounded option takes, as click displays it; a key
+#: The range each bounded option takes, as --help displays it; a key
 #: "COMMAND --option" holds a command's own range for a shared option.
 BOUNDS = {
     "--n": "x>=0",
@@ -639,6 +648,50 @@ def test_help_shows_each_bound(runner, command, options):
 def test_usage_error_exits_2_and_raises_when_embedded(argv, fragment, env):
     # the other usage errors are inputs of the command tests above
     assert_usage_error(argv, fragment, env=env)
+
+
+def test_out_of_memory_exits_3_even_if_the_traceback_cannot_be_printed(monkeypatch):
+    # a crash out of memory exits 3, not 1, even when importing the
+    # traceback printer runs out of memory too
+    real_import = builtins.__import__
+
+    def importing(name, *args, **kwargs):
+        if name == "traceback":
+            raise MemoryError("no memory for the import")
+        return real_import(name, *args, **kwargs)
+
+    def out_of_memory(n):
+        raise MemoryError("simulated")
+
+    monkeypatch.setitem(identity.EVALUATORS, Strategy.NAIVE, out_of_memory)
+    monkeypatch.setattr(builtins, "__import__", importing)
+    with pytest.raises(SystemExit) as exited:
+        main.main(["verify", "--range", "0..1"])
+    assert exited.value.code == 3
+
+
+def test_running_out_of_memory_exits_3_with_the_traceback():
+    # the real path, in a child with 256 MiB of address space: row 80000 of
+    # Pascal's triangle needs some 400 MB. The locals of the frames that
+    # failed hold most of it, so the crash report must drop them before it
+    # imports its printer; else that import fails too.
+    resource = pytest.importorskip("resource")
+    limit = 256 * 1024 * 1024
+
+    def limited():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+        resource.setrlimit(resource.RLIMIT_CPU, (20, 20))
+
+    result = subprocess.run(
+        [sys.executable, "-m", "cbsum.cli", "steps", "--range", "40000..40000", "--step", "X_FINISH"],
+        capture_output=True,
+        env=cli_env(unbuffered=False),
+        preexec_fn=limited,
+        timeout=60,
+    )
+    assert result.returncode == 3, result.stderr
+    assert result.stderr.startswith(b"Traceback (most recent call last)")
+    assert result.stderr.rstrip().endswith(b"MemoryError")
 
 
 def test_internal_error_exits_3_with_traceback(runner, monkeypatch):
@@ -803,6 +856,30 @@ def test_worker_that_ends_mid_task_exits_3_and_never_hangs(runner, monkeypatch, 
     assert result.exit_code == 3
     message = rf"RuntimeError: pool worker \d+ ended with exit status {status} before sending its results"
     assert re.search(message, result.stderr)
+    assert re.search(message + r" \(item 7 was due\)", result.stderr)
+    assert_no_children()
+
+
+def test_worker_out_of_memory_exits_3_as_a_lost_worker(runner, monkeypatch, within_a_minute):
+    # out of memory, a worker cannot even import the traceback printer to
+    # report it: it ends without its result, and the caller names it lost
+    caller = os.getpid()
+    real_import = builtins.__import__
+
+    def importing(name, *args, **kwargs):
+        if name == "traceback" and os.getpid() != caller:
+            raise MemoryError("no memory for the import")
+        return real_import(name, *args, **kwargs)
+
+    def out_of_memory():
+        raise MemoryError("planted at n=7")
+
+    plant_in_worker(monkeypatch, out_of_memory)
+    monkeypatch.setattr(builtins, "__import__", importing)
+    result = runner.invoke(main, POOLED)
+    assert result.exit_code == 3
+    message = r"RuntimeError: pool worker \d+ ended with exit status 1 before sending its results \(item 7 was due\)"
+    assert re.search(message, result.stderr)
     assert_no_children()
 
 
@@ -842,7 +919,7 @@ def test_interrupt_exits_130(runner, monkeypatch):
     assert result.exit_code == 130
     assert "Aborted!" in result.stderr
     assert "Traceback" not in result.stderr
-    with pytest.raises(click.Abort):  # embedded callers see click's own Abort
+    with pytest.raises(KeyboardInterrupt):  # embedded callers see the interrupt itself
         main.main(args=["eval", "--n", "2"], standalone_mode=False)
 
 
@@ -859,7 +936,7 @@ class TestEmbedded:
         assert "MISMATCH" in capsys.readouterr().out
 
     def test_usage_error_propagates(self):
-        with pytest.raises(click.UsageError) as raised:
+        with pytest.raises(cli.UsageError) as raised:
             main.main(["eval", "--n", "-1"], standalone_mode=False)
         assert "Invalid value for '--n'" in raised.value.format_message()
 

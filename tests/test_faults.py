@@ -27,7 +27,6 @@ hide a mismatch or change what no report shows. Unit tests catch those:
 """
 from __future__ import annotations
 
-import dataclasses
 import sys
 from typing import Any, Callable
 
@@ -76,7 +75,7 @@ def closure_off(fn):
 def finish_off(fn):
     def finish(*args, **kwargs):
         result = fn(*args, **kwargs)
-        return dataclasses.replace(result, closed_product=result.closed_product + 1)
+        return result._replace(closed_product=result.closed_product + 1)
 
     return finish
 
