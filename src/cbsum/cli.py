@@ -8,10 +8,11 @@ written (128 + SIGPIPE). ``main.main(argv, standalone_mode=False)``
 returns the code instead of exiting, and lets exceptions propagate.
 
 The parser is cbsum's own, so a call loads no parsing library. Each
-command lists its options beside it (:func:`_command`); an option takes
-``--opt value`` or ``--opt=value``, the last one given counts unless it
-repeats (``--strategy`` and ``--step`` of the check commands), and a
-value may begin with ``-``. Only whole option names are accepted.
+command lists its options beside it (:func:`_command`). An option takes
+``--opt value`` or ``--opt=value``, and a value may begin with ``-``. A
+repeated option keeps its last value, except ``--strategy`` of
+``verify`` and ``bench`` and ``--step``, which collect every name. Only
+whole option names are accepted.
 
 Every usage error is raised here, as a :class:`UsageError`. A bound on
 one option is its kind, named in the message and shown by ``--help``:

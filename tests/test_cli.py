@@ -76,6 +76,24 @@ class TestParseRange:
         assert mask_durations(by_range.output) == mask_durations(by_n.output)
 
 
+def test_option_forms(runner):
+    # --opt=value reads as --opt value, and a repeated option that takes
+    # one value keeps its last
+    plain = runner.invoke(main, ["table", "--range", "0..3", "--strategy", "naive", "--format", "csv"])
+    assert plain.exit_code == 0, plain.output
+    for argv in (
+        ["table", "--range=0..3", "--strategy=naive", "--format=csv"],
+        ["table", "--range", "7..9", "--strategy", "symmetrized", "--range", "0..3", "--strategy", "naive",
+         "--format", "json", "--format", "csv"],
+    ):
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 0, result.output
+        assert result.output == plain.output
+    overview = runner.invoke(main, ["--help"])
+    assert overview.exit_code == 0
+    assert [line.split()[0] for line in overview.output.split("Commands:\n")[1].splitlines()] == sorted(cli.COMMANDS)
+
+
 def test_version_matches_package_and_pyproject(runner):
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
@@ -643,6 +661,17 @@ def test_help_shows_each_bound(runner, command, options):
             None,
         ),
         (["bench", "--range", f"1..{sys.maxsize + 1}"], "Invalid value for '--range'", None),
+        # the parser's own errors: an abbreviation is no option
+        (["verify", "--rang", "0..2"], "No such option '--rang'.", None),
+        (["--jobs", "2"], "No such option '--jobs'.", None),
+        (["evl", "--n", "2"], "No such command 'evl'.", None),
+        ([], "Missing command.", None),
+        (["eval"], "Missing option '--n'.", None),
+        (["eval", "--n"], "Option '--n' requires an argument.", None),
+        (["eval", "--n", "2", "--full-decimal=yes"], "Option '--full-decimal' does not take a value.", None),
+        (["eval", "--n", "2", "--format", "xml"], "'xml' is not one of 'json', 'csv', 'text'.", None),
+        (["eval", "--n", "two"], "Invalid value for '--n': 'two' is not a valid integer range.", None),
+        (["eval", "--n", "2", "3", "4"], "Got unexpected extra arguments (3 4)", None),
     ],
 )
 def test_usage_error_exits_2_and_raises_when_embedded(argv, fragment, env):
