@@ -679,21 +679,26 @@ def test_usage_error_exits_2_and_raises_when_embedded(argv, fragment, env):
     assert_usage_error(argv, fragment, env=env)
 
 
-def test_out_of_memory_exits_3_even_if_the_traceback_cannot_be_printed(monkeypatch):
-    # a crash out of memory exits 3, not 1, even when importing the
-    # traceback printer runs out of memory too
+def traceback_import_fails(monkeypatch, where) -> None:
+    """``import traceback`` raises MemoryError wherever ``where()`` holds."""
     real_import = builtins.__import__
 
     def importing(name, *args, **kwargs):
-        if name == "traceback":
+        if name == "traceback" and where():
             raise MemoryError("no memory for the import")
         return real_import(name, *args, **kwargs)
 
+    monkeypatch.setattr(builtins, "__import__", importing)
+
+
+def test_out_of_memory_exits_3_even_if_the_traceback_cannot_be_printed(monkeypatch):
+    # a crash out of memory exits 3, not 1, even when importing the
+    # traceback printer runs out of memory too
     def out_of_memory(n):
         raise MemoryError("simulated")
 
     monkeypatch.setitem(identity.EVALUATORS, Strategy.NAIVE, out_of_memory)
-    monkeypatch.setattr(builtins, "__import__", importing)
+    traceback_import_fails(monkeypatch, lambda: True)
     with pytest.raises(SystemExit) as exited:
         main.main(["verify", "--range", "0..1"])
     assert exited.value.code == 3
@@ -893,18 +898,12 @@ def test_worker_out_of_memory_exits_3_as_a_lost_worker(runner, monkeypatch, with
     # out of memory, a worker cannot even import the traceback printer to
     # report it: it ends without its result, and the caller names it lost
     caller = os.getpid()
-    real_import = builtins.__import__
-
-    def importing(name, *args, **kwargs):
-        if name == "traceback" and os.getpid() != caller:
-            raise MemoryError("no memory for the import")
-        return real_import(name, *args, **kwargs)
 
     def out_of_memory():
         raise MemoryError("planted at n=7")
 
     plant_in_worker(monkeypatch, out_of_memory)
-    monkeypatch.setattr(builtins, "__import__", importing)
+    traceback_import_fails(monkeypatch, lambda: os.getpid() != caller)
     result = runner.invoke(main, POOLED)
     assert result.exit_code == 3
     message = r"RuntimeError: pool worker \d+ ended with exit status 1 before sending its results \(item 7 was due\)"
